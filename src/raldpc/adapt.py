@@ -107,7 +107,9 @@ class DistillationTable:
     ``alpha``/``fer``/``ci_low``/``ci_high`` are (rates, widths) arrays with
     NaN in ``alpha`` marking cells where the FER was too close to 1 to be
     useful.  ``working`` holds, per error rate, the width with the best
-    present efficiency (ties to the larger width), or None.
+    present efficiency (ties to the larger width), or None.  ``undetected``
+    optionally counts each cell's undetected wrong-block convergences; the
+    CSV does not carry it, so a loaded table has None.
     """
 
     error_rates: np.ndarray  # increasing
@@ -117,6 +119,7 @@ class DistillationTable:
     ci_low: np.ndarray
     ci_high: np.ndarray
     working: list
+    undetected: np.ndarray | None = None
 
     def __post_init__(self):
         self.error_rates = np.asarray(self.error_rates, dtype=float)
@@ -133,6 +136,16 @@ class DistillationTable:
             setattr(self, name, arr)
         if len(self.working) != self.error_rates.size:
             raise ValueError("working must have one entry per error rate")
+
+    def lookup(self, e: float) -> tuple[int, int]:
+        """Cell (i, j) of the working width at the nearest grid row at or
+        above e that has one; raises NoFeasibleWidth when no such row exists.
+        """
+        for i in np.flatnonzero(self.error_rates >= e - 1e-12):
+            w = self.working[i]
+            if w is not None:
+                return int(i), int(np.flatnonzero(self.widths == w)[0])
+        raise NoFeasibleWidth(f"no characterized width can handle error rate {e:.4f}")
 
     def cell(self, error_rate: float, width: int):
         i = int(np.argmin(np.abs(self.error_rates - error_rate)))
@@ -159,24 +172,24 @@ class DistillationTable:
 
 
 def select_width(table: DistillationTable, e: float) -> int:
-    """Width of the working region at the nearest grid rate at or above e.
+    """Width of the working region for error rate e (see ``lookup``)."""
+    _, j = table.lookup(e)
+    return int(table.widths[j])
 
-    Conservative rounding: never pick a width rated only for cleaner
-    channels.  Raises NoFeasibleWidth when e lies above the last grid rate
-    that has any usable entry.
-    """
-    rates = table.error_rates
-    at_or_above = np.flatnonzero(rates >= e - 1e-12)
-    for i in at_or_above:
-        w = table.working[int(i)]
-        if w is not None:
-            return w
-        # row fully absent: fall through to the next (harder) grid row
-    raise NoFeasibleWidth(f"no characterized width can handle error rate {e:.4f}")
+
+def _check_csv_rates(error_rates) -> None:
+    """Refuse rates that the CSV's 3-decimal rate column would move."""
+    for e in error_rates:
+        if abs(float(f"{e:.3f}") - e) > 1e-9:
+            raise ValueError(f"error rate {e!r} is not on the table CSV's 0.001 grid")
 
 
 def save_table_csv(table: DistillationTable, path) -> None:
-    """Write the table as CSV; absent cells keep their FER but no alpha."""
+    """Write the table as CSV; absent cells keep their FER but no alpha.
+
+    Rates are written to 3 decimals, so a rate off that grid is refused.
+    """
+    _check_csv_rates(table.error_rates)
     with open(path, "w", newline="", encoding="ascii") as fh:
         wr = csv.writer(fh)
         wr.writerow(_CSV_HEADER)
@@ -197,7 +210,8 @@ def save_table_csv(table: DistillationTable, path) -> None:
 
 
 def load_table_csv(path) -> DistillationTable:
-    rows = []
+    """Read a table CSV; duplicate or missing (rate, width) cells are refused."""
+    cells = {}
     with open(path, "r", newline="", encoding="ascii") as fh:
         rd = csv.reader(fh)
         header = next(rd, None)
@@ -206,11 +220,17 @@ def load_table_csv(path) -> DistillationTable:
         for rownum, row in enumerate(rd, 2):
             if len(row) != len(_CSV_HEADER):
                 raise ValueError(f"{path}:{rownum}: expected {len(_CSV_HEADER)} fields")
-            rows.append(row)
-    if not rows:
+            key = (float(row[0]), int(row[1]))
+            if key in cells:
+                raise ValueError(f"{path}:{rownum}: duplicate cell {row[0]},{row[1]}")
+            cells[key] = row
+    if not cells:
         raise ValueError(f"{path}: empty table")
-    rates = sorted({float(r[0]) for r in rows})
-    widths = sorted({int(r[1]) for r in rows}, reverse=True)
+    rates = sorted({e for e, _ in cells})
+    widths = sorted({w for _, w in cells}, reverse=True)
+    if len(cells) != len(rates) * len(widths):
+        missing = len(rates) * len(widths) - len(cells)
+        raise ValueError(f"{path}: {missing} (rate, width) cells are missing")
     ridx = {r: i for i, r in enumerate(rates)}
     widx = {w: j for j, w in enumerate(widths)}
     shape = (len(rates), len(widths))
@@ -219,14 +239,14 @@ def load_table_csv(path) -> DistillationTable:
     lo = np.full(shape, np.nan)
     hi = np.full(shape, np.nan)
     working = [None] * len(rates)
-    for row in rows:
-        i, j = ridx[float(row[0])], widx[int(row[1])]
+    for (e, w), row in cells.items():
+        i, j = ridx[e], widx[w]
         alpha[i, j] = float(row[2]) if row[2] != "" else np.nan
         fer[i, j] = float(row[3])
         lo[i, j] = float(row[4])
         hi[i, j] = float(row[5])
         if row[6] == "1":
-            working[i] = int(row[1])
+            working[i] = w
     return DistillationTable(
         error_rates=np.asarray(rates),
         widths=np.asarray(widths),

@@ -204,7 +204,7 @@ def build_table(
             rate = effective_rate(matrix.num_checks, width).rate
             alpha[i, j] = distillation_efficiency(est.point_estimate, rate)
 
-    table = DistillationTable(
+    return DistillationTable(
         error_rates=np.asarray(grid),
         widths=np.asarray(widths),
         alpha=alpha,
@@ -212,9 +212,8 @@ def build_table(
         ci_low=lo,
         ci_high=hi,
         working=DistillationTable.compute_working(alpha, np.asarray(widths)),
+        undetected=undetected,
     )
-    table.undetected = undetected  # extra diagnostic, not serialized
-    return table
 
 
 def matrix_digest(matrix: ParityMatrix) -> str:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adapt import load_table_csv, save_table_csv
+from .adapt import _check_csv_rates, load_table_csv, save_table_csv
 from .charact import build_table, matrix_digest, run_manifest, write_manifest
 from .codec import (
     DecoderConfig,
@@ -126,6 +126,7 @@ def _cmd_characterize(args) -> int:
     matrix = _parsing(load_alist, args.matrix)
     widths = [int(w) for w in args.widths.split(",")]
     grid = _parse_range(args.errors, "errors")
+    _check_csv_rates(grid)  # refuse now, not after decoding the whole grid
     config = DecoderConfig(
         crossover_prior=grid[0], max_iterations=args.max_iterations
     )

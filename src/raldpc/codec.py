@@ -66,10 +66,7 @@ def _as_bits(x, length: int, what: str) -> np.ndarray:
 def encode_syndrome(prefix: MatrixPrefix, key) -> np.ndarray:
     """Syndrome bit i = mod-2 sum of key bits adjacent to check i."""
     key = _as_bits(key, prefix.width, "key")
-    e = prefix.edges
-    acc = np.zeros(e.num_checks, dtype=np.int64)
-    np.add.at(acc, e.edge_check, key[e.edge_var])
-    return (acc & 1).astype(np.uint8)
+    return encode_syndrome_batch(prefix, key[None, :])[0]
 
 
 def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
@@ -113,12 +110,10 @@ def decode(
     )
 
 
-def _batch_syndrome_mismatch(e, hard: np.ndarray, target: np.ndarray) -> np.ndarray:
-    bits = hard[:, e.edge_var_cm].astype(np.int32)
-    sums = np.add.reduceat(bits, e.check_first, axis=1) & 1
-    mism = target.astype(np.int32).copy()
-    mism[:, e.present_checks] ^= sums
-    return mism.sum(axis=1)
+def _batch_syndrome_mismatch(
+    prefix: MatrixPrefix, hard: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    return np.count_nonzero(encode_syndrome_batch(prefix, hard) != target, axis=1)
 
 
 def _decode_batch(
@@ -140,7 +135,7 @@ def _decode_batch(
 
     hard = noisy.astype(np.uint8).copy()
     iters = np.zeros(B, dtype=np.int64)
-    unsat = _batch_syndrome_mismatch(e, hard, target)
+    unsat = _batch_syndrome_mismatch(prefix, hard, target)
     active = np.flatnonzero(unsat > 0)
     if active.size == 0:
         return hard, unsat == 0, iters, unsat
@@ -169,7 +164,7 @@ def _decode_batch(
         np.clip(v2c, -clamp, clamp, out=v2c)
         cand = (post < 0).astype(np.uint8)
 
-        miss = _batch_syndrome_mismatch(e, cand, target[active])
+        miss = _batch_syndrome_mismatch(prefix, cand, target[active])
         done = miss == 0
         if np.any(done):
             rows = active[done]

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adapt import DistillationTable, NoFeasibleWidth, effective_rate, select_width
-from .charact import FerEstimate, _run_cell, wilson_interval
+from .adapt import DistillationTable, NoFeasibleWidth
+from .charact import FerEstimate, _run_cell
 from .codec import DecoderConfig
 from .tanner import MatrixPrefix, ParityMatrix
 
@@ -127,8 +127,8 @@ def simulate_link(
     for d in dists:
         obs = link_observables(params, d)
         try:
-            w = select_width(table, obs.qber)
-            i, j = table.cell(_grid_rate_at_or_above(table, obs.qber), w)
+            i, j = table.lookup(obs.qber)
+            w = int(table.widths[j])
             ratio = float(table.alpha[i, j])
             fer = float(table.fer[i, j])
         except NoFeasibleWidth:
@@ -145,13 +145,6 @@ def simulate_link(
             )
         )
     return report
-
-
-def _grid_rate_at_or_above(table: DistillationTable, e: float) -> float:
-    idx = np.flatnonzero(table.error_rates >= e - 1e-12)
-    if idx.size == 0:
-        raise NoFeasibleWidth(f"{e} above the table grid")
-    return float(table.error_rates[idx[0]])
 
 
 _REPORT_HEADER = ["distance_km", "qber", "width", "fer", "secure_ratio", "sifted_bps", "secure_bps"]
@@ -203,8 +196,8 @@ def frame_level_check(
     out = []
     for d in distances:
         obs = link_observables(params, d)
-        w = select_width(table, obs.qber)
-        i, j = table.cell(_grid_rate_at_or_above(table, obs.qber), w)
+        i, j = table.lookup(obs.qber)
+        w = int(table.widths[j])
         cell = FerEstimate(
             point_estimate=float(table.fer[i, j]),
             frames_run=0,

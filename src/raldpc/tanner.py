@@ -9,7 +9,7 @@ so prefix quality (girth) is a first-class concern here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,7 +65,6 @@ class ParityMatrix:
     num_vars: int
     col_indptr: np.ndarray
     col_indices: np.ndarray
-    _row_cache: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.col_indptr = np.asarray(self.col_indptr, dtype=np.int64)
@@ -97,19 +96,6 @@ class ParityMatrix:
 
     def column(self, j: int) -> np.ndarray:
         return self.col_indices[self.col_indptr[j]:self.col_indptr[j + 1]]
-
-    def row_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
-        """Check-major adjacency (row_indptr, row_indices) over all columns."""
-        if self._row_cache is None:
-            edge_var = np.repeat(
-                np.arange(self.num_vars, dtype=np.int32), self.column_degrees()
-            )
-            order = np.argsort(self.col_indices, kind="stable")
-            row_indices = edge_var[order]
-            counts = np.bincount(self.col_indices, minlength=self.num_checks)
-            row_indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-            self._row_cache = (row_indptr, row_indices)
-        return self._row_cache
 
     def __eq__(self, other):
         if not isinstance(other, ParityMatrix):
@@ -160,9 +146,11 @@ class PrefixEdges:
     """Flat edge arrays of a prefix, in variable-major and check-major order.
 
     var-major: edges sorted by (variable, check); check-major is the same
-    edge list permuted by ``perm``.  ``check_first``/``present_checks`` give
-    reduceat segment starts over the check-major order for the checks that
-    actually have edges inside the prefix.
+    edge list permuted by ``perm``, a stable sort, so it is sorted by (check,
+    variable).  ``check_indptr`` is the check-major CSR over all checks.
+    ``check_first``/``present_checks`` give reduceat segment starts over the
+    check-major order for the checks that actually have edges inside the
+    prefix.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
@@ -179,11 +167,9 @@ class PrefixEdges:
         self.edge_check_cm = self.edge_check[self.perm]
         self.edge_var_cm = self.edge_var[self.perm]
         counts = np.bincount(self.edge_check, minlength=self.num_checks)
-        self.check_counts = counts
         self.present_checks = np.flatnonzero(counts).astype(np.int32)
         ends = np.cumsum(counts)
         self.check_first = (ends - counts)[self.present_checks].astype(np.int64)
-        # check-major CSR over present checks only (empty checks have no row)
         self.check_indptr = np.concatenate(([0], ends)).astype(np.int64)
 
     @property
@@ -366,7 +352,8 @@ def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
 def save_alist(matrix: ParityMatrix, path) -> None:
     """Write the matrix in alist text format (1-based, zero-padded rows)."""
     col_deg = matrix.column_degrees()
-    row_indptr, row_indices = matrix.row_adjacency()
+    e = PrefixEdges(matrix, matrix.num_vars)
+    row_indptr, row_indices = e.check_indptr, e.edge_var_cm
     row_deg = np.diff(row_indptr)
     max_col = int(col_deg.max())
     max_row = int(row_deg.max())
@@ -381,9 +368,7 @@ def save_alist(matrix: ParityMatrix, path) -> None:
         ents += ["0"] * (max_col - len(ents))
         lines.append(" ".join(ents))
     for i in range(matrix.num_checks):
-        ents = [
-            str(int(v) + 1) for v in np.sort(row_indices[row_indptr[i]:row_indptr[i + 1]])
-        ]
+        ents = [str(int(v) + 1) for v in row_indices[row_indptr[i]:row_indptr[i + 1]]]
         ents += ["0"] * (max_row - len(ents))
         lines.append(" ".join(ents))
     with open(path, "w", encoding="ascii") as fh:

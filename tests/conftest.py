@@ -91,7 +91,7 @@ def _save_table_npz(table: DistillationTable, path):
 
 def _load_table_npz(path) -> DistillationTable:
     z = np.load(path)
-    table = DistillationTable(
+    return DistillationTable(
         error_rates=z["error_rates"],
         widths=z["widths"],
         alpha=z["alpha"],
@@ -99,9 +99,8 @@ def _load_table_npz(path) -> DistillationTable:
         ci_low=z["ci_low"],
         ci_high=z["ci_high"],
         working=[int(w) if w >= 0 else None for w in z["working"]],
+        undetected=z["undetected"],
     )
-    table.undetected = z["undetected"]
-    return table
 
 
 @pytest.fixture(scope="session")

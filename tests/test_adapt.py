@@ -191,6 +191,14 @@ class TestSelectWidth:
         with pytest.raises(NoFeasibleWidth):
             rl.select_width(t, 0.0145)
 
+    def test_lookup_falls_through_absent_row(self):
+        t = synthetic_table()
+        t.alpha[3] = np.nan
+        t.working = DistillationTable.compute_working(t.alpha, t.widths)
+        assert t.working[3] is None
+        assert t.lookup(0.0125) == (4, 2)
+        assert rl.select_width(t, 0.0125) == 3072
+
     def test_monotone_over_grid(self):
         t = synthetic_table()
         chosen = [rl.select_width(t, e) for e in t.error_rates]
@@ -242,3 +250,44 @@ class TestTableCsv:
         path.write_text("nope\n1,2,3\n")
         with pytest.raises(ValueError):
             rl.load_table_csv(path)
+
+    def test_refuses_rates_off_the_three_decimal_grid(self, tmp_path):
+        t = synthetic_table()
+        t.error_rates = np.array([0.0100, 0.0104, 0.0108, 0.0112, 0.0116])
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="0.0104"):
+            rl.save_table_csv(t, path)
+        assert not path.exists()
+
+    def test_accepts_float_accumulated_grid(self, tmp_path):
+        t = synthetic_table()
+        t.error_rates = np.array([0.010 + k * 0.001 for k in range(5)])
+        assert t.error_rates[3] != 0.013  # 0.013000000000000001
+        path = tmp_path / "table.csv"
+        rl.save_table_csv(t, path)
+        back = rl.load_table_csv(path)
+        assert np.array_equal(back.error_rates, synthetic_table().error_rates)
+
+    def test_rejects_duplicate_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rl.save_table_csv(synthetic_table(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + [lines[4]]) + "\n")
+        with pytest.raises(ValueError, match="duplicate"):
+            rl.load_table_csv(path)
+
+    def test_rejects_missing_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rl.save_table_csv(synthetic_table(), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:4] + lines[5:]) + "\n")
+        with pytest.raises(ValueError, match="missing"):
+            rl.load_table_csv(path)
+
+    def test_loaded_table_has_no_undetected_counts(self, tmp_path):
+        t = synthetic_table()
+        assert t.undetected is None
+        t.undetected = np.zeros(t.fer.shape, dtype=np.int64)
+        path = tmp_path / "table.csv"
+        rl.save_table_csv(t, path)
+        assert rl.load_table_csv(path).undetected is None

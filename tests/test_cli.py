@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import raldpc as rl
+from raldpc import cli
 from raldpc.cli import main
 
 
@@ -120,6 +121,20 @@ class TestCharacterize:
              "--errors", "0.02:0.01:0.001", "--frames", "10",
              "--out", str(tmp_path / "x.csv")]
         ) == 2
+
+    def test_rate_off_the_csv_grid_rejected_before_decoding(
+        self, small_alist, tmp_path, monkeypatch
+    ):
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("build_table ran")
+
+        monkeypatch.setattr(cli, "build_table", no_decoding)
+        out = tmp_path / "x.csv"
+        assert main(
+            ["characterize", "--matrix", str(small_alist), "--widths", "320",
+             "--errors", "0.0100:0.0108:0.0004", "--frames", "10", "--out", str(out)]
+        ) == 2
+        assert not out.exists()
 
 
 class TestReconcile:

@@ -39,11 +39,19 @@ class TestEncode:
             )
 
     def test_batch_matches_single(self, small_prefix):
+        # check 2 of the hand-built matrix touches no column
+        bare = rl.ParityMatrix(
+            4, 6, [0, 2, 4, 6, 7, 9, 10], [0, 1, 1, 3, 0, 3, 1, 0, 1, 3]
+        )
         rng = np.random.default_rng(2)
-        keys = rng.integers(0, 2, (50, 12), dtype=np.uint8)
-        batch = rl.encode_syndrome_batch(small_prefix, keys)
-        for k in range(50):
-            assert np.array_equal(batch[k], rl.encode_syndrome(small_prefix, keys[k]))
+        for prefix in (small_prefix, rl.MatrixPrefix(bare, 6)):
+            H = dense_parity(prefix)
+            keys = rng.integers(0, 2, (50, prefix.width), dtype=np.uint8)
+            batch = rl.encode_syndrome_batch(prefix, keys)
+            for k in range(50):
+                ref = H.astype(np.int64) @ keys[k] % 2
+                assert np.array_equal(batch[k], ref)
+                assert np.array_equal(rl.encode_syndrome(prefix, keys[k]), ref)
 
     def test_length_mismatch_rejected(self, small_prefix):
         with pytest.raises(ValueError):

@@ -91,6 +91,53 @@ def ladder_table():
     )
 
 
+def absent_row_table():
+    """Row 0.012 is fully absent; row 0.013 is served by width 3072 alone."""
+    fer = np.array(
+        [
+            [0.00, 0.00, 0.00],
+            [0.02, 0.00, 0.00],
+            [1.00, 1.00, 0.995],
+            [1.00, 1.00, 0.05],
+        ]
+    )
+    alpha = (1 - fer) * np.array([0.80, 0.75, 2 / 3])
+    alpha[2, :] = np.nan
+    alpha[3, :2] = np.nan
+    widths = np.array([5120, 4096, 3072])
+    return DistillationTable(
+        error_rates=np.array([0.010, 0.011, 0.012, 0.013]),
+        widths=widths,
+        alpha=alpha,
+        fer=fer,
+        ci_low=np.maximum(fer - 0.03, 0.0),
+        ci_high=np.minimum(fer + 0.03, 1.0),
+        working=DistillationTable.compute_working(alpha, widths),
+    )
+
+
+class TestAbsentRowFallThrough:
+    """Model QBER at 39.5 km is 0.01101: row 0.012 is skipped for row 0.013."""
+
+    def test_simulate_link_reads_the_cell_it_selected(self):
+        table = absent_row_table()
+        row = rl.simulate_link(rl.LinkParams(), table, [39.5]).rows[0]
+        assert row.qber == pytest.approx(0.01101, abs=1e-5)
+        assert row.width == 3072
+        assert row.secure_ratio == table.alpha[3, 2]
+        assert row.fer == table.fer[3, 2]
+
+    def test_frame_level_check_compares_the_same_cell(self, mother_matrix):
+        table = absent_row_table()
+        cfg = DecoderConfig(crossover_prior=0.011, max_iterations=5)
+        (row,) = rl.frame_level_check(
+            mother_matrix, table, rl.LinkParams(), [39.5], frames=8, seed=1, config=cfg
+        )
+        assert row.width == 3072
+        assert row.table_fer.point_estimate == table.fer[3, 2]
+        assert row.table_fer.interval == (table.ci_low[3, 2], table.ci_high[3, 2])
+
+
 class TestSimulateLink:
     def test_ladder_structure(self):
         report = rl.simulate_link(rl.LinkParams(), ladder_table(), np.arange(0, 121, 5))
