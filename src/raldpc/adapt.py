@@ -136,6 +136,9 @@ class DistillationTable:
             setattr(self, name, arr)
         if len(self.working) != self.error_rates.size:
             raise ValueError("working must have one entry per error rate")
+        stray = [w for w in self.working if w is not None and w not in self.widths]
+        if stray:
+            raise ValueError(f"working widths {stray} are not among the table widths")
 
     def lookup(self, e: float) -> tuple[int, int]:
         """Cell (i, j) of the working width at the nearest grid row at or
@@ -210,7 +213,8 @@ def save_table_csv(table: DistillationTable, path) -> None:
 
 
 def load_table_csv(path) -> DistillationTable:
-    """Read a table CSV; duplicate or missing (rate, width) cells are refused."""
+    """Read a table CSV; duplicate or missing (rate, width) cells, and a rate
+    with more than one working width, are refused."""
     cells = {}
     with open(path, "r", newline="", encoding="ascii") as fh:
         rd = csv.reader(fh)
@@ -246,6 +250,8 @@ def load_table_csv(path) -> DistillationTable:
         lo[i, j] = float(row[4])
         hi[i, j] = float(row[5])
         if row[6] == "1":
+            if working[i] is not None:
+                raise ValueError(f"{path}: rate {e:.3f} has more than one working width")
             working[i] = w
     return DistillationTable(
         error_rates=np.asarray(rates),

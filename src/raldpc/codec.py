@@ -7,6 +7,17 @@ syndrome folded into the check-node updates.  The decoder is a flooding
 schedule with the exact tanh-product check rule; a batch kernel decodes
 many independent frames at once, which is what makes the Monte-Carlo
 characterization affordable in pure numpy.
+
+Message layout: the (frames, edges) float64 arrays of variable-to-check
+and check-to-variable messages stay in check-major edge order
+(``PrefixEdges.edge_check_cm``) for the whole decode, in buffers allocated
+once per call.  The check update is then a ``multiply.reduceat`` straight
+over the messages; the variable update reads them through ``inv_perm`` for
+an ``add.reduceat`` over ``var_indptr``, and new messages come back as
+posterior[edge_var_cm] minus the check message.  Every gather is
+``np.take(..., axis=1)``, whose output is C-contiguous; fancy indexing
+``x[:, idx]`` would return an F-ordered copy that is slow to write and slow
+for the ``reduceat`` after it.
 """
 
 from __future__ import annotations
@@ -74,10 +85,9 @@ def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
     e = prefix.edges
     if keys.ndim != 2 or keys.shape[1] != prefix.width:
         raise ValueError(f"keys must have shape (B, {prefix.width})")
-    bits = keys[:, e.edge_var_cm].astype(np.int32)
+    bits = np.take(keys, e.edge_var_cm, axis=1)
     out = np.zeros((keys.shape[0], e.num_checks), dtype=np.uint8)
-    sums = np.add.reduceat(bits, e.check_first, axis=1)
-    out[:, e.present_checks] = (sums & 1).astype(np.uint8)
+    out[:, e.present_checks] = np.bitwise_xor.reduceat(bits, e.check_first, axis=1) & 1
     return out
 
 
@@ -116,6 +126,15 @@ def _batch_syndrome_mismatch(
     return np.count_nonzero(encode_syndrome_batch(prefix, hard) != target, axis=1)
 
 
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """out[:, k] = src[:, idx[k]], written C-contiguous into ``out``.
+
+    The indices come from ``PrefixEdges`` and are always in range; mode
+    "clip" only lets ``np.take`` write into ``out`` without a buffered copy.
+    """
+    np.take(src, idx, axis=1, out=out, mode="clip")
+
+
 def _decode_batch(
     prefix: MatrixPrefix,
     noisy: np.ndarray,
@@ -141,26 +160,42 @@ def _decode_batch(
         return hard, unsat == 0, iters, unsat
 
     prior = prior_mag * (1.0 - 2.0 * noisy[active].astype(np.float64))
-    v2c = prior[:, e.edge_var]
     sgn_syn = 1.0 - 2.0 * target[active].astype(np.float64)
+    # check-major edge messages, reused across iterations; the first n rows
+    # hold the n frames still active
+    v2c_buf, t_buf, c2v_buf, ext_buf = (
+        np.empty((active.size, e.num_edges)) for _ in range(4)
+    )
+    full_buf = np.ones((active.size, e.num_checks))
+    _gather(prior, e.edge_var_cm, v2c_buf)
 
     for it in range(1, config.max_iterations + 1):
-        # check update: extrinsic tanh product, syndrome sign folded in
-        t = np.tanh(0.5 * v2c)
-        np.copysign(np.maximum(np.abs(t), _TANH_FLOOR), t, out=t)
-        t_cm = t[:, e.perm]
-        prod = np.multiply.reduceat(t_cm, e.check_first, axis=1)
-        full = np.ones((t_cm.shape[0], e.num_checks))
-        full[:, e.present_checks] = prod
-        ext = (full * sgn_syn)[:, e.edge_check_cm] / t_cm
-        np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
-        c2v_cm = 2.0 * np.arctanh(ext)
-        np.clip(c2v_cm, -clamp, clamp, out=c2v_cm)
-        c2v = c2v_cm[:, e.inv_perm]
+        n = active.size
+        v2c, t, c2v, ext = v2c_buf[:n], t_buf[:n], c2v_buf[:n], ext_buf[:n]
+        full = full_buf[:n]
 
-        # variable update and hard decision
-        post = prior + np.add.reduceat(c2v, e.var_indptr[:-1], axis=1)
-        v2c = post[:, e.edge_var] - c2v
+        # check update: extrinsic tanh product, syndrome sign folded in
+        np.multiply(v2c, 0.5, out=t)
+        np.tanh(t, out=t)
+        np.abs(t, out=ext)
+        np.maximum(ext, _TANH_FLOOR, out=ext)
+        np.copysign(ext, t, out=t)
+        # only present checks are refreshed here and gathered below, so the
+        # other entries of the reused buffer never matter
+        full[:, e.present_checks] = np.multiply.reduceat(t, e.check_first, axis=1)
+        np.multiply(full, sgn_syn, out=full)
+        _gather(full, e.edge_check_cm, ext)
+        np.divide(ext, t, out=ext)
+        np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
+        np.arctanh(ext, out=c2v)
+        np.multiply(c2v, 2.0, out=c2v)
+        np.clip(c2v, -clamp, clamp, out=c2v)
+
+        # variable update and hard decision; ext holds c2v in variable order
+        _gather(c2v, e.inv_perm, ext)
+        post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
+        _gather(post, e.edge_var_cm, v2c)
+        np.subtract(v2c, c2v, out=v2c)
         np.clip(v2c, -clamp, clamp, out=v2c)
         cand = (post < 0).astype(np.uint8)
 
@@ -176,7 +211,7 @@ def _decode_batch(
             if active.size == 0:
                 break
             prior = prior[keep]
-            v2c = v2c[keep]
+            v2c_buf[: active.size] = v2c[keep]
             sgn_syn = sgn_syn[keep]
             cand = cand[keep]
             miss = miss[keep]
@@ -216,7 +251,11 @@ def read_key_blocks(path, width: int | None = None) -> np.ndarray:
 
 
 def write_key_blocks(path, blocks: np.ndarray) -> None:
+    """Write key blocks as ASCII lines of '0'/'1'; any nonzero value is '1'."""
     blocks = np.atleast_2d(blocks)
-    with open(path, "w", encoding="ascii") as fh:
-        for row in blocks:
-            fh.write("".join("1" if b else "0" for b in row) + "\n")
+    text = np.full((blocks.shape[0], blocks.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    digits = text[:, :-1]
+    np.not_equal(blocks, 0, out=digits.view(np.bool_))
+    digits += ord("0")
+    with open(path, "wb") as fh:
+        fh.write(text.data)

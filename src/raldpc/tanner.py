@@ -145,12 +145,15 @@ class MatrixPrefix:
 class PrefixEdges:
     """Flat edge arrays of a prefix, in variable-major and check-major order.
 
-    var-major: edges sorted by (variable, check); check-major is the same
-    edge list permuted by ``perm``, a stable sort, so it is sorted by (check,
-    variable).  ``check_indptr`` is the check-major CSR over all checks.
-    ``check_first``/``present_checks`` give reduceat segment starts over the
-    check-major order for the checks that actually have edges inside the
-    prefix.
+    var-major: edges sorted by (variable, check), as ``edge_check`` and
+    ``edge_var`` with ``var_indptr`` as the CSR over variables.  check-major
+    is the same edge list stably sorted by check, so it is sorted by (check,
+    variable): ``edge_check_cm`` and ``edge_var_cm``, with ``check_indptr``
+    as the CSR over all checks.  The decoder keeps every edge message in
+    check-major order; ``inv_perm`` takes a check-major array to var-major
+    order for the variable-node sums.  ``check_first``/``present_checks``
+    give reduceat segment starts over the check-major order for the checks
+    that actually have edges inside the prefix.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
@@ -162,10 +165,10 @@ class PrefixEdges:
             np.arange(width, dtype=np.int32), np.diff(matrix.col_indptr[: width + 1])
         )
         self.var_indptr = matrix.col_indptr[: width + 1]
-        self.perm = np.argsort(self.edge_check, kind="stable")
-        self.inv_perm = np.argsort(self.perm, kind="stable")
-        self.edge_check_cm = self.edge_check[self.perm]
-        self.edge_var_cm = self.edge_var[self.perm]
+        perm = np.argsort(self.edge_check, kind="stable")
+        self.inv_perm = np.argsort(perm, kind="stable")
+        self.edge_check_cm = self.edge_check[perm]
+        self.edge_var_cm = self.edge_var[perm]
         counts = np.bincount(self.edge_check, minlength=self.num_checks)
         self.present_checks = np.flatnonzero(counts).astype(np.int32)
         ends = np.cumsum(counts)

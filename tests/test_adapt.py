@@ -219,6 +219,18 @@ class TestSelectWidth:
         )
         assert rl.select_width(t, 0.01) == 512
 
+    def test_working_width_must_be_a_table_width(self):
+        with pytest.raises(ValueError, match="999"):
+            DistillationTable(
+                error_rates=np.array([0.01]),
+                widths=np.array([512, 256]),
+                alpha=np.array([[0.5, 0.4]]),
+                fer=np.zeros((1, 2)),
+                ci_low=np.zeros((1, 2)),
+                ci_high=np.zeros((1, 2)),
+                working=[999],
+            )
+
 
 class TestTableCsv:
     def test_round_trip(self, tmp_path):
@@ -291,3 +303,14 @@ class TestTableCsv:
         path = tmp_path / "table.csv"
         rl.save_table_csv(t, path)
         assert rl.load_table_csv(path).undetected is None
+
+    def test_rejects_two_working_flags_in_one_row(self, tmp_path):
+        # both widths flagged; the second flag is the worse width
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "error_rate,width,alpha,fer,ci_low,ci_high,working\n"
+            "0.010,512,0.5000,0.000000,0.000000,0.010000,1\n"
+            "0.010,256,0.4000,0.000000,0.000000,0.010000,1\n"
+        )
+        with pytest.raises(ValueError, match="more than one working width"):
+            rl.load_table_csv(path)

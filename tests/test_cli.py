@@ -262,6 +262,20 @@ class TestSimulateLink:
         )
         assert code == 2
 
+    def test_two_working_flags_is_parse_error(self, tmp_path):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "error_rate,width,alpha,fer,ci_low,ci_high,working\n"
+            "0.010,512,0.5000,0.000000,0.000000,0.010000,1\n"
+            "0.010,256,0.4000,0.000000,0.000000,0.010000,1\n"
+        )
+        code = main(
+            ["simulate-link", "--table", str(table),
+             "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_table_is_io_error(self, tmp_path):
         code = main(
             ["simulate-link", "--table", str(tmp_path / "nope.csv"),

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raldpc as rl
 from raldpc.codec import DecoderConfig, _decode_batch
@@ -149,6 +153,101 @@ class TestDecode:
         assert r.iterations_used <= 3
 
 
+def _decode_digest(hard, ok, iters, unsat) -> str:
+    h = hashlib.sha256()
+    for arr, dtype in ((hard, np.uint8), (ok, np.bool_), (iters, np.int64), (unsat, np.int64)):
+        h.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenDecode:
+    """Recorded decoder outputs on a 256x1280 PEG code (seed 7).
+
+    Any change to the decoder kernel must keep these digests: a speedup
+    counts only if hard decisions, success flags, iteration counts and
+    unsatisfied counts stay bit-identical.  The three error rates sit in
+    the working region, the waterfall and the hopeless region of this code.
+    The digests were recorded with numpy 2.4 on x86-64; a libm that rounds
+    tanh or arctanh differently can move a hard decision.
+    """
+
+    GOLDEN = {
+        (0.01, 10): "6457526e6f8631f7abe582dba158e8e2040c0bc456c23bac83858508425e5845",
+        (0.01, 60): "6457526e6f8631f7abe582dba158e8e2040c0bc456c23bac83858508425e5845",
+        (0.02, 10): "855f77b08db5032adb2eef3f6b5367b706def71fbdd4738cdd3a05cfba2fd750",
+        (0.02, 60): "433d3b2825ccb616957618f8c336ba2cd970b674742fbcc37659197a9b0169ae",
+        (0.04, 10): "c5f3819b33b3bc51d5ba16d114a631be8f2b8e65b9c860762a87ef2ef2bc9413",
+        (0.04, 60): "9f0a7d9b13170c81ae38e6713c5bb704105e0aaa6c1a48584ae7b6340e422c72",
+    }
+    GOLDEN_SINGLE = "c96c04dc20fe52199a562f7655282431835040eb52b72f04720f4eaa813ec3df"
+
+    @pytest.fixture(scope="class")
+    def prefix(self):
+        m = rl.peg_construct(256, 1280, rl.DegreeProfile.interleaved_4_5(1280), seed=7)
+        return rl.MatrixPrefix(m, 1280)
+
+    @staticmethod
+    def _frames(prefix, p, batch, seed):
+        rng = np.random.default_rng(seed)
+        keys = rng.integers(0, 2, (batch, prefix.width), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        noisy = keys ^ (rng.random((batch, prefix.width)) < p).astype(np.uint8)
+        return noisy, syn
+
+    @pytest.mark.parametrize("p, max_iterations", sorted(GOLDEN))
+    def test_batch_digest(self, prefix, p, max_iterations):
+        noisy, syn = self._frames(prefix, p, 64, seed=100)
+        cfg = DecoderConfig(crossover_prior=p, max_iterations=max_iterations)
+        out = _decode_batch(prefix, noisy, syn, cfg)
+        assert _decode_digest(*out) == self.GOLDEN[(p, max_iterations)]
+
+    def test_single_block_digest(self, prefix):
+        noisy, syn = self._frames(prefix, 0.02, 8, seed=101)
+        cfg = DecoderConfig(crossover_prior=0.02, max_iterations=10)
+        res = [rl.decode(prefix, noisy[k], syn[k], cfg) for k in range(8)]
+        digest = _decode_digest(
+            np.stack([r.corrected_key for r in res]),
+            [r.success for r in res],
+            [r.iterations_used for r in res],
+            [r.unsatisfied_checks for r in res],
+        )
+        assert digest == self.GOLDEN_SINGLE
+
+
+class TestBatchSplit:
+    """Decoding any split of a batch, in any order, equals decoding it whole."""
+
+    FRAMES = 24
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        m = rl.peg_construct(64, 256, rl.DegreeProfile.interleaved_4_5(256), seed=3)
+        prefix = rl.MatrixPrefix(m, 256)
+        rng = np.random.default_rng(12)
+        keys = rng.integers(0, 2, (self.FRAMES, 256), dtype=np.uint8)
+        p = np.resize([0.0, 0.01, 0.02, 0.03, 0.05], self.FRAMES)[:, None]
+        noisy = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        cfg = DecoderConfig(crossover_prior=0.03, max_iterations=20)
+        whole = _decode_batch(prefix, noisy, syn, cfg)
+        # frames leave the active set at many different iterations
+        assert len(set(whole[2].tolist())) >= 4
+        return prefix, noisy, syn, cfg, whole
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        labels=st.lists(st.integers(0, 3), min_size=FRAMES, max_size=FRAMES),
+        order=st.permutations(range(FRAMES)),
+    )
+    def test_any_split_equals_whole_batch(self, batch, labels, order):
+        prefix, noisy, syn, cfg, whole = batch
+        for group in set(labels):
+            idx = np.array([k for k in order if labels[k] == group])
+            part = _decode_batch(prefix, noisy[idx], syn[idx], cfg)
+            for got, want in zip(part, whole):
+                assert np.array_equal(got, want[idx])
+
+
 class TestDecoderConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -178,6 +277,23 @@ class TestKeyBlockFiles:
         rl.write_key_blocks(path, blocks)
         assert np.array_equal(rl.read_key_blocks(path), blocks)
         assert np.array_equal(rl.read_key_blocks(path, width=17), blocks)
+
+    def test_bytes_match_per_bit_rendering(self, tmp_path):
+        rng = np.random.default_rng(11)
+        cases = [
+            rng.integers(0, 2, (4, 33), dtype=np.uint8),
+            rng.integers(0, 2, 9, dtype=np.uint8),  # 1-D: one block
+            rng.integers(-3, 4, (2, 10)),  # any nonzero value is a 1
+            np.array([[0.0, 0.5, 2.0]]),
+        ]
+        for blocks in cases:
+            path = tmp_path / "keys.txt"
+            rl.write_key_blocks(path, blocks)
+            want = "".join(
+                "".join("1" if b else "0" for b in row) + "\n"
+                for row in np.atleast_2d(blocks)
+            )
+            assert path.read_bytes() == want.encode("ascii")
 
     def test_width_validation(self, tmp_path):
         path = tmp_path / "keys.txt"
