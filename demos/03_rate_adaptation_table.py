@@ -10,7 +10,6 @@ looks up at run time.
 import numpy as np
 
 import raldpc as rl
-from raldpc.codec import DecoderConfig
 
 M_CHECKS, N_VARS = 256, 1280
 WIDTHS = (1280, 1024, 768, 512)
@@ -25,7 +24,7 @@ table = rl.build_table(
     GRID,
     frames_per_point=200,
     seed=1,
-    config=DecoderConfig(crossover_prior=GRID[0], max_iterations=25),
+    max_iterations=25,
 )
 
 header = "e(%)  " + "".join(f"{w:>10d}" for w in table.widths)

@@ -10,7 +10,6 @@ throughput goes to zero.
 import numpy as np
 
 import raldpc as rl
-from raldpc.codec import DecoderConfig
 
 M_CHECKS, N_VARS = 256, 1280
 
@@ -24,7 +23,7 @@ table = rl.build_table(
     grid,
     frames_per_point=150,
     seed=2,
-    config=DecoderConfig(crossover_prior=grid[0], max_iterations=25),
+    max_iterations=25,
 )
 
 params = rl.LinkParams()  # 0.2 dB/km fiber, 200 MHz source, 0.1 detectors
@@ -45,11 +44,11 @@ print(f"\nthe ladder: each drop is a width switch (or the final collapse); "
 
 rows = rl.frame_level_check(
     matrix, table, params, distances=[10.0, 40.0], frames=150, seed=3,
-    config=DecoderConfig(crossover_prior=grid[0], max_iterations=25),
+    max_iterations=25,
 )
 print("\nframe-level cross-check of the table prediction:")
 for r in rows:
     print(f"  {r.distance_km:4.0f} km: width {r.width}, measured FER "
           f"{r.mc_fer.point_estimate:.4f} in {r.mc_fer.frames_run} frames, "
-          f"table CI [{r.table_fer.ci_low:.4f}, {r.table_fer.ci_high:.4f}] "
+          f"table CI [{r.table_ci[0]:.4f}, {r.table_ci[1]:.4f}] "
           f"-> {'agree' if r.agrees else 'DISAGREE'}")

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .adapt import DistillationTable, distillation_efficiency, effective_rate
-from .codec import DecoderConfig, _decode_batch, encode_syndrome_batch
+from .codec import _LLR_CLAMP, DecoderConfig, _decode_batch, encode_syndrome_batch
 from .tanner import MatrixPrefix, ParityMatrix
 
 _Z95 = 1.959963984540054
@@ -56,21 +55,17 @@ class FerEstimate:
     ci_high: float
     undetected: int  # converged frames whose corrected key was wrong
 
-    @property
-    def interval(self):
-        return self.ci_low, self.ci_high
-
 
 def _run_cell(
     prefix: MatrixPrefix,
     p: float,
     num_frames: int,
     seed_entropy,
-    config: DecoderConfig,
+    max_iterations: int,
     abort_ci_low: float | None = None,
 ) -> FerEstimate:
     """Run up to num_frames frames; optionally stop once FER is decisively ~1."""
-    cfg = replace(config, crossover_prior=p)
+    cfg = DecoderConfig(crossover_prior=p, max_iterations=max_iterations)
     width = prefix.width
     failures = 0
     undetected = 0
@@ -111,7 +106,7 @@ def estimate_fer(
     p: float,
     num_frames: int,
     seed: int,
-    config: DecoderConfig | None = None,
+    max_iterations: int = 60,
 ) -> FerEstimate:
     """Monte-Carlo FER of a prefix over a BSC(p), deterministic given seed.
 
@@ -123,8 +118,7 @@ def estimate_fer(
         raise ValueError("crossover probability must lie in (0, 0.5)")
     if num_frames < 1:
         raise ValueError("num_frames must be >= 1")
-    cfg = config if config is not None else DecoderConfig(crossover_prior=p)
-    return _run_cell(prefix, p, num_frames, (seed,), cfg)
+    return _run_cell(prefix, p, num_frames, (seed,), max_iterations)
 
 
 # cells with Wilson ci_low at or above this are hopeless for the argmax:
@@ -134,15 +128,10 @@ _ABSENT_FER = 0.99
 
 
 def _cell_task(args):
-    matrix, width, p, rate_idx, frames, seed, config, early_abort = args
+    matrix, width, p, rate_idx, frames, seed, max_iterations = args
     prefix = MatrixPrefix(matrix, width)
     est = _run_cell(
-        prefix,
-        p,
-        frames,
-        (seed, width, rate_idx),
-        config,
-        abort_ci_low=_ABORT_CI_LOW if early_abort else None,
+        prefix, p, frames, (seed, width, rate_idx), max_iterations, _ABORT_CI_LOW
     )
     return width, rate_idx, est
 
@@ -153,16 +142,16 @@ def build_table(
     error_grid,
     frames_per_point: int,
     seed: int,
-    config: DecoderConfig | None = None,
-    early_abort: bool = True,
+    max_iterations: int = 60,
     threads: int = 1,
 ) -> DistillationTable:
     """Characterize the matrix into a DistillationTable.
 
-    Cells whose FER point estimate reaches ``0.99`` are marked absent.  With
-    ``early_abort`` a cell stops once its FER is decisively too high to ever
-    win the per-row argmax, which saves most of the time spent beyond each
-    width's error-correction capability.
+    Every cell decodes with its own error rate as the channel prior.  Cells
+    whose FER point estimate reaches ``0.99`` are marked absent.  A cell
+    stops early once its FER is decisively too high to ever win the per-row
+    argmax, which saves most of the time spent beyond each width's
+    error-correction capability.
     """
     widths = sorted({int(w) for w in widths}, reverse=True)
     grid = [float(e) for e in error_grid]
@@ -174,14 +163,16 @@ def build_table(
         raise ValueError("error grid must be strictly increasing")
     if any(not 0.0 < e < 0.5 for e in grid):
         raise ValueError("error rates must lie in (0, 0.5)")
-    cfg = config if config is not None else DecoderConfig(crossover_prior=grid[0])
 
     tasks = [
-        (matrix, w, p, i, frames_per_point, seed, cfg, early_abort)
+        (matrix, w, p, i, frames_per_point, seed, max_iterations)
         for w in widths
         for i, p in enumerate(grid)
     ]
     if threads > 1:
+        # imported on use: the module adds to every command's start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(_cell_task, tasks))
     else:
@@ -232,7 +223,7 @@ def run_manifest(
     error_grid,
     frames_per_point: int,
     seed: int,
-    config: DecoderConfig,
+    max_iterations: int,
     extra: dict | None = None,
 ) -> dict:
     """Everything needed to reproduce a characterization byte for byte."""
@@ -246,8 +237,8 @@ def run_manifest(
         "frames_per_point": int(frames_per_point),
         "seed": int(seed),
         "decoder": {
-            "max_iterations": config.max_iterations,
-            "llr_clamp": config.llr_clamp,
+            "max_iterations": int(max_iterations),
+            "llr_clamp": _LLR_CLAMP,
         },
     }
     if extra:

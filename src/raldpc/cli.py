@@ -65,14 +65,21 @@ def _file_sha256(path) -> str:
 
 
 def _parse_range(spec: str, name: str) -> list[float]:
+    from decimal import Decimal
+
+    toks = spec.split(":")
     try:
-        lo, hi, step = (float(x) for x in spec.split(":"))
+        lo, hi, step = (float(x) for x in toks)
     except ValueError:
         raise ValueError(f"--{name} must look like from:to:step") from None
+    if not np.all(np.isfinite([lo, hi, step])):
+        raise ValueError(f"--{name}: from, to and step must be finite")
     if step <= 0 or hi < lo:
         raise ValueError(f"--{name}: need step > 0 and to >= from")
+    # round to the decimals written in the spec: 0.013, not 0.013000000000000001
+    places = max(0, *(-Decimal(t).as_tuple().exponent for t in toks))
     n = int(round((hi - lo) / step))
-    vals = [lo + k * step for k in range(n + 1)]
+    vals = [round(lo + k * step, places) for k in range(n + 1)]
     return [v for v in vals if v <= hi + 1e-12]
 
 
@@ -127,16 +134,13 @@ def _cmd_characterize(args) -> int:
     widths = [int(w) for w in args.widths.split(",")]
     grid = _parse_range(args.errors, "errors")
     _check_csv_rates(grid)  # refuse now, not after decoding the whole grid
-    config = DecoderConfig(
-        crossover_prior=grid[0], max_iterations=args.max_iterations
-    )
     table = build_table(
         matrix,
         widths,
         grid,
         frames_per_point=args.frames,
         seed=args.seed,
-        config=config,
+        max_iterations=args.max_iterations,
         threads=args.threads,
     )
     save_table_csv(table, args.out)
@@ -147,7 +151,7 @@ def _cmd_characterize(args) -> int:
         grid,
         args.frames,
         args.seed,
-        config,
+        args.max_iterations,
         extra={
             "matrix_file": args.matrix,
             "matrix_file_sha256": _file_sha256(args.matrix),

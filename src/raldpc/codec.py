@@ -31,28 +31,28 @@ from .tanner import MatrixPrefix
 # |tanh| floor keeps the extrinsic division finite when a message is ~0
 _TANH_FLOOR = 1e-12
 _ATANH_CEIL = 1.0 - 1e-15
+# every prior and message LLR is clamped to +-_LLR_CLAMP
+_LLR_CLAMP = 25.0
 
 
 @dataclass(frozen=True)
 class DecoderConfig:
-    """Knobs of the sum-product decoder.
+    """Channel prior and iteration budget of one sum-product decode.
 
-    crossover_prior is the BSC crossover probability p used for the channel
-    prior log((1-p)/p); in the reconciliation setting it is supplied by the
-    caller (the true channel parameter in simulations).
+    crossover_prior is the BSC crossover probability p behind the channel
+    prior log((1-p)/p): the caller's estimate in reconciliation, the cell's
+    own p in characterization.  max_iterations bounds the flooding
+    iterations before a frame is reported as not converged.
     """
 
     crossover_prior: float
     max_iterations: int = 60
-    llr_clamp: float = 25.0
 
     def __post_init__(self):
         if not (0.0 < self.crossover_prior < 0.5):
             raise ValueError("crossover_prior must be in (0, 0.5)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.llr_clamp > 0:
-            raise ValueError("llr_clamp must be positive")
 
 
 @dataclass
@@ -149,8 +149,7 @@ def _decode_batch(
     e = prefix.edges
     B = noisy.shape[0]
     p = config.crossover_prior
-    clamp = config.llr_clamp
-    prior_mag = min(float(np.log((1.0 - p) / p)), clamp)
+    prior_mag = min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
 
     hard = noisy.astype(np.uint8).copy()
     iters = np.zeros(B, dtype=np.int64)
@@ -189,14 +188,14 @@ def _decode_batch(
         np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
         np.arctanh(ext, out=c2v)
         np.multiply(c2v, 2.0, out=c2v)
-        np.clip(c2v, -clamp, clamp, out=c2v)
+        np.clip(c2v, -_LLR_CLAMP, _LLR_CLAMP, out=c2v)
 
         # variable update and hard decision; ext holds c2v in variable order
         _gather(c2v, e.inv_perm, ext)
         post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
         _gather(post, e.edge_var_cm, v2c)
         np.subtract(v2c, c2v, out=v2c)
-        np.clip(v2c, -clamp, clamp, out=v2c)
+        np.clip(v2c, -_LLR_CLAMP, _LLR_CLAMP, out=v2c)
         cand = (post < 0).astype(np.uint8)
 
         miss = _batch_syndrome_mismatch(prefix, cand, target[active])

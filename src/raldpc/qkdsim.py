@@ -23,7 +23,6 @@ import numpy as np
 
 from .adapt import DistillationTable, NoFeasibleWidth
 from .charact import FerEstimate, _run_cell
-from .codec import DecoderConfig
 from .tanner import MatrixPrefix, ParityMatrix
 
 
@@ -173,7 +172,8 @@ class ConsistencyRow:
     distance_km: float
     qber: float
     width: int
-    table_fer: FerEstimate | None
+    table_fer: float  # FER of the table cell selected for this QBER
+    table_ci: tuple[float, float]  # that cell's (ci_low, ci_high)
     mc_fer: FerEstimate
     agrees: bool
 
@@ -185,7 +185,7 @@ def frame_level_check(
     distances,
     frames: int,
     seed: int,
-    config: DecoderConfig | None = None,
+    max_iterations: int = 60,
 ) -> list[ConsistencyRow]:
     """Monte-Carlo cross-check of the table-predicted secure ratio.
 
@@ -198,25 +198,22 @@ def frame_level_check(
         obs = link_observables(params, d)
         i, j = table.lookup(obs.qber)
         w = int(table.widths[j])
-        cell = FerEstimate(
-            point_estimate=float(table.fer[i, j]),
-            frames_run=0,
-            failures=0,
-            ci_low=float(table.ci_low[i, j]),
-            ci_high=float(table.ci_high[i, j]),
-            undetected=0,
-        )
-        cfg = config if config is not None else DecoderConfig(crossover_prior=obs.qber)
+        lo, hi = float(table.ci_low[i, j]), float(table.ci_high[i, j])
         mc = _run_cell(
-            MatrixPrefix(matrix, w), obs.qber, frames, (seed, int(round(d * 1000))), cfg
+            MatrixPrefix(matrix, w),
+            obs.qber,
+            frames,
+            (seed, int(round(d * 1000))),
+            max_iterations,
         )
-        agrees = mc.ci_low <= cell.ci_high and cell.ci_low <= mc.ci_high
+        agrees = mc.ci_low <= hi and lo <= mc.ci_high
         out.append(
             ConsistencyRow(
                 distance_km=float(d),
                 qber=obs.qber,
                 width=w,
-                table_fer=cell,
+                table_fer=float(table.fer[i, j]),
+                table_ci=(lo, hi),
                 mc_fer=mc,
                 agrees=agrees,
             )

@@ -262,17 +262,11 @@ def peg_construct(
             check_adj[c, check_cnt[c]] = j
             check_cnt[c] += 1
 
-    if np.all(degs == degs[0]):
-        col_indices = np.sort(var_adj, axis=1).ravel()
-        col_indptr = np.arange(0, (n + 1) * max_col_deg, max_col_deg, dtype=np.int64)
-    else:
-        # ragged degrees: sort pushes the -1 padding to the row front
-        srt = np.sort(var_adj, axis=1)
-        col_indices = np.concatenate(
-            [srt[j, max_col_deg - degs[j]:] for j in range(n)]
-        )
-        col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
-    return ParityMatrix(m, n, col_indptr, col_indices.astype(np.int32))
+    # sorting pushes the -1 padding of short columns to the row front
+    srt = np.sort(var_adj, axis=1)
+    col_indices = srt[srt >= 0]
+    col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
+    return ParityMatrix(m, n, col_indptr, col_indices)
 
 
 def _gather_rows(indptr, indices, rows):

@@ -3,7 +3,9 @@
 The mother matrix and the 500-frame characterization table are expensive,
 so they are built once per session and cached under tests/.cache keyed by
 their parameters plus a fingerprint of the source files that produce them;
-editing tanner/codec/charact invalidates the cache automatically.
+editing tanner/codec/charact invalidates the cache automatically, and
+writing a new entry deletes the entries of its kind left by other source
+revisions.
 """
 
 import hashlib
@@ -15,7 +17,6 @@ import pytest
 
 import raldpc as rl
 from raldpc.adapt import DistillationTable
-from raldpc.codec import DecoderConfig
 
 CACHE = pathlib.Path(__file__).parent / ".cache"
 SRC = pathlib.Path(rl.__file__).parent
@@ -40,6 +41,12 @@ def _fingerprint(*names: str) -> str:
     return h.hexdigest()[:12]
 
 
+def _drop_stale(kind: str, current: str):
+    """Delete the cache entries matching ``kind`` but not ``current``."""
+    for old in set(CACHE.glob(kind)) - set(CACHE.glob(current)):
+        old.unlink()
+
+
 @pytest.fixture(scope="session")
 def cache_dir() -> pathlib.Path:
     CACHE.mkdir(exist_ok=True)
@@ -57,6 +64,7 @@ def mother_matrix(cache_dir):
     profile = rl.DegreeProfile.interleaved_4_5(MOTHER_VARS)
     matrix = rl.peg_construct(MOTHER_CHECKS, MOTHER_VARS, profile, MOTHER_SEED)
     rl.save_alist(matrix, path)
+    _drop_stale("mother_*.alist", f"mother_*_{tag}.alist")
     return matrix
 
 
@@ -65,12 +73,6 @@ def mother_alist_path(cache_dir, mother_matrix) -> pathlib.Path:
     tag = _fingerprint("tanner.py")
     return cache_dir / (
         f"mother_{MOTHER_CHECKS}x{MOTHER_VARS}_i45_s{MOTHER_SEED}_{tag}.alist"
-    )
-
-
-def _table_config() -> DecoderConfig:
-    return DecoderConfig(
-        crossover_prior=TABLE_GRID[0], max_iterations=TABLE_MAX_ITERATIONS
     )
 
 
@@ -125,12 +127,8 @@ def accept_table(cache_dir, mother_matrix):
         TABLE_GRID,
         frames_per_point=TABLE_FRAMES,
         seed=TABLE_SEED,
-        config=_table_config(),
+        max_iterations=TABLE_MAX_ITERATIONS,
     )
     _save_table_npz(table, npz)
+    _drop_stale("accept_table_*.npz", f"accept_table_{tag}_*.npz")
     return table
-
-
-@pytest.fixture(scope="session")
-def table_config():
-    return _table_config()

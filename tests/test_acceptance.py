@@ -13,7 +13,7 @@ from raldpc.adapt import NoFeasibleWidth
 from raldpc.codec import DecoderConfig
 
 from _oracles import CosetOracle, dense_parity, patterns_of_weight_at_most
-from conftest import MOTHER_CHECKS, TABLE_GRID
+from conftest import MOTHER_CHECKS, TABLE_GRID, TABLE_MAX_ITERATIONS
 
 # secure-ratio comparisons on measured cells carry Monte-Carlo noise; at
 # 500 frames the Wilson 95% half-width near FER=0 is ~0.009, so equality
@@ -182,7 +182,7 @@ def test_criterion_7_link_simulation(accept_table):
     )
 
 
-def test_criterion_8_full_chain_consistency(mother_matrix, accept_table, table_config):
+def test_criterion_8_full_chain_consistency(mother_matrix, accept_table):
     rows = rl.frame_level_check(
         mother_matrix,
         accept_table,
@@ -190,11 +190,11 @@ def test_criterion_8_full_chain_consistency(mother_matrix, accept_table, table_c
         distances=[15.0, 50.0, 90.0],
         frames=250,
         seed=7,
-        config=table_config,
+        max_iterations=TABLE_MAX_ITERATIONS,
     )
     detail = "; ".join(
         f"{r.distance_km:.0f}km w={r.width} mc={r.mc_fer.point_estimate:.4f} "
-        f"table=[{r.table_fer.ci_low:.4f},{r.table_fer.ci_high:.4f}]"
+        f"table=[{r.table_ci[0]:.4f},{r.table_ci[1]:.4f}]"
         for r in rows
     )
     _report(8, all(r.agrees for r in rows), detail)

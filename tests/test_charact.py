@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import raldpc as rl
 from raldpc.charact import run_manifest, wilson_interval, write_manifest
-from raldpc.codec import DecoderConfig
 
 
 @pytest.fixture(scope="module")
@@ -69,15 +70,25 @@ class TestBuildTable:
     GRID = (0.01, 0.03, 0.06, 0.10)
 
     def build(self, small_matrix, seed=5, threads=1):
-        cfg = DecoderConfig(crossover_prior=0.01, max_iterations=15)
         return rl.build_table(
             small_matrix,
             self.WIDTHS,
             self.GRID,
             frames_per_point=80,
             seed=seed,
-            config=cfg,
+            max_iterations=15,
             threads=threads,
+        )
+
+    def test_golden_digest(self, small_matrix):
+        t = self.build(small_matrix)
+        h = hashlib.sha256()
+        for a in (t.fer, t.alpha, t.ci_low, t.ci_high):
+            h.update(np.asarray(a, dtype=np.float64).tobytes())
+        h.update(np.asarray(t.undetected, dtype=np.int64).tobytes())
+        h.update(np.asarray([-1 if w is None else w for w in t.working]).tobytes())
+        assert h.hexdigest() == (
+            "e6b9bd93b1b0dc6af871572ae363676e2705915b242ba397182d990adf071997"
         )
 
     def test_reproducible(self, small_matrix):
@@ -128,10 +139,9 @@ class TestBuildTable:
         assert np.allclose(t1.alpha, t2.alpha, equal_nan=True)
 
     def test_absent_cells_at_hopeless_noise(self, small_matrix):
-        cfg = DecoderConfig(crossover_prior=0.01, max_iterations=10)
         t = rl.build_table(
             small_matrix, (320,), (0.01, 0.25), frames_per_point=60,
-            seed=6, config=cfg,
+            seed=6, max_iterations=10,
         )
         assert not np.isnan(t.alpha[0, 0])
         assert np.isnan(t.alpha[1, 0])  # rate-0.8 prefix cannot fix 25% noise
@@ -150,12 +160,12 @@ class TestBuildTable:
 
 class TestManifest:
     def test_fields_and_determinism(self, small_matrix, tmp_path):
-        cfg = DecoderConfig(crossover_prior=0.01)
         man = run_manifest(
-            "characterize", small_matrix, (320,), (0.01, 0.02), 100, 9, cfg
+            "characterize", small_matrix, (320,), (0.01, 0.02), 100, 9, 60
         )
         assert man["matrix_sha256"] == rl.matrix_digest(small_matrix)
         assert man["frames_per_point"] == 100 and man["seed"] == 9
+        assert man["decoder"] == {"llr_clamp": 25.0, "max_iterations": 60}
         p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
         write_manifest(man, p1)
         write_manifest(man, p2)

@@ -136,6 +136,32 @@ class TestCharacterize:
         ) == 2
         assert not out.exists()
 
+    def test_manifest_grid_equals_csv_rates(self, small_alist, tmp_path):
+        out = tmp_path / "t.csv"
+        assert main(
+            ["characterize", "--matrix", str(small_alist), "--widths", "320",
+             "--errors", "0.010:0.014:0.001", "--frames", "8", "--out", str(out)]
+        ) == 0
+        man = json.loads((tmp_path / "t.csv.manifest.json").read_text())
+        rows = out.read_text().splitlines()[1:]
+        assert man["error_grid"] == [float(r.split(",")[0]) for r in rows]
+
+    def test_infinite_range_rejected(self, small_alist, tmp_path):
+        assert main(
+            ["characterize", "--matrix", str(small_alist), "--widths", "320",
+             "--errors", "0.01:inf:0.001", "--out", str(tmp_path / "x.csv")]
+        ) == 2
+
+
+class TestParseRange:
+    def test_values_snap_to_written_decimals(self):
+        assert cli._parse_range("0.01:0.03:1e-3", "errors") == [
+            k / 1000 for k in range(10, 31)
+        ]
+        assert cli._parse_range("0:110:0.5", "distances") == [
+            k / 2 for k in range(221)
+        ]
+
 
 class TestReconcile:
     def test_identical_inputs_succeed_with_zero_flips(self, small_alist, tmp_path, capsys):

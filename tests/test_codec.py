@@ -256,16 +256,13 @@ class TestDecoderConfig:
             DecoderConfig(crossover_prior=0.5)
         with pytest.raises(ValueError):
             DecoderConfig(crossover_prior=0.1, max_iterations=0)
-        with pytest.raises(ValueError):
-            DecoderConfig(crossover_prior=0.1, llr_clamp=0.0)
 
 
 class TestHighNoiseFullWidth:
     def test_p30_defeats_full_width(self, mother_matrix):
         # far beyond code capability: expect universal failure
         prefix = rl.MatrixPrefix(mother_matrix, 5120)
-        cfg = DecoderConfig(crossover_prior=0.3, max_iterations=20)
-        est = rl.estimate_fer(prefix, 0.3, 100, seed=12, config=cfg)
+        est = rl.estimate_fer(prefix, 0.3, 100, seed=12, max_iterations=20)
         assert est.point_estimate == 1.0
 
 

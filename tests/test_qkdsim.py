@@ -1,9 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import raldpc as rl
 from raldpc.adapt import DistillationTable
-from raldpc.codec import DecoderConfig
 from raldpc.qkdsim import save_report_csv
 
 # closed-form reference values for the default parameters, evaluated once
@@ -129,13 +130,13 @@ class TestAbsentRowFallThrough:
 
     def test_frame_level_check_compares_the_same_cell(self, mother_matrix):
         table = absent_row_table()
-        cfg = DecoderConfig(crossover_prior=0.011, max_iterations=5)
         (row,) = rl.frame_level_check(
-            mother_matrix, table, rl.LinkParams(), [39.5], frames=8, seed=1, config=cfg
+            mother_matrix, table, rl.LinkParams(), [39.5], frames=8, seed=1,
+            max_iterations=5,
         )
         assert row.width == 3072
-        assert row.table_fer.point_estimate == table.fer[3, 2]
-        assert row.table_fer.interval == (table.ci_low[3, 2], table.ci_high[3, 2])
+        assert row.table_fer == table.fer[3, 2]
+        assert row.table_ci == (table.ci_low[3, 2], table.ci_high[3, 2])
 
 
 class TestSimulateLink:
@@ -187,14 +188,36 @@ class TestSimulateLink:
 class TestFrameLevelCheck:
     def test_agrees_with_table_in_plateau(self):
         matrix = rl.peg_construct(64, 320, rl.DegreeProfile.interleaved_4_5(320), seed=17)
-        cfg = DecoderConfig(crossover_prior=0.01, max_iterations=20)
         table = rl.build_table(
-            matrix, (320, 256), (0.010, 0.011, 0.012, 0.015), 120, seed=3, config=cfg
+            matrix, (320, 256), (0.010, 0.011, 0.012, 0.015), 120, seed=3,
+            max_iterations=20,
         )
         rows = rl.frame_level_check(
-            matrix, table, rl.LinkParams(), [0.0, 10.0], frames=120, seed=4, config=cfg
+            matrix, table, rl.LinkParams(), [0.0, 10.0], frames=120, seed=4,
+            max_iterations=20,
         )
         assert len(rows) == 2
         for r in rows:
             assert r.width in (320, 256)
             assert r.agrees
+
+    def test_golden_row_digest(self):
+        matrix = rl.peg_construct(64, 320, rl.DegreeProfile.interleaved_4_5(320), seed=17)
+        table = rl.build_table(
+            matrix, (320, 192, 128), (0.01, 0.03, 0.06, 0.10), 80, seed=5,
+            max_iterations=15,
+        )
+        # model QBER 0.0258 at 100 km: row 0.03, a waterfall cell
+        (r,) = rl.frame_level_check(
+            matrix, table, rl.LinkParams(), [100.0], frames=120, seed=4,
+            max_iterations=15,
+        )
+        mc = r.mc_fer
+        values = [
+            mc.point_estimate, mc.frames_run, mc.failures, mc.ci_low, mc.ci_high,
+            mc.undetected, r.table_fer, *r.table_ci, r.agrees,
+        ]
+        digest = hashlib.sha256(np.asarray(values, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == (
+            "afffd067ba967c6a6731897281e44e7e513457640035906f5b1186cf87140ef8"
+        )

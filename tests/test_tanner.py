@@ -68,6 +68,34 @@ class TestPegConstruct:
             rl.peg_construct(4, 8, rl.DegreeProfile.uniform(6, 2), seed=0)
 
 
+class TestGoldenDigest:
+    """Full ``matrix_digest`` of fixed PEG codes: construction stays bit-identical."""
+
+    @pytest.mark.parametrize(
+        "m, n, profile, seed, digest",
+        [
+            (64, 256, "interleaved45", 3,
+             "911c51b65171ffaa4f7cef8f2ab951d07e4d688d820c53be8d4822d84c86b539"),
+            (256, 1280, "interleaved45", 7,
+             "7a33ad9d95483dd8efb6924d84e6c87d778ac0fa0c2a17bd0e54da2fb0820697"),
+            (64, 256, "uniform3", 3,
+             "b1948ebe2e6d139cd78362f2cf119e14c750b633c5f45bc2396777cd5f350b54"),
+        ],
+    )
+    def test_small_codes(self, m, n, profile, seed, digest):
+        prof = (
+            rl.DegreeProfile.interleaved_4_5(n)
+            if profile == "interleaved45"
+            else rl.DegreeProfile.uniform(n, 3)
+        )
+        assert rl.matrix_digest(rl.peg_construct(m, n, prof, seed)) == digest
+
+    def test_acceptance_mother(self, mother_matrix):
+        assert rl.matrix_digest(mother_matrix) == (
+            "83bb245f68d31035f2ed21262bff8ab2adfeefbb76f87c59f6581b6c309760c6"
+        )
+
+
 class TestGirth:
     def test_shared_check_pair_gives_four(self):
         # columns 0 and 1 both hit checks {0,1}
