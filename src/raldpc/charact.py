@@ -43,7 +43,7 @@ def wilson_interval(failures: int, frames: int, z: float = _Z95):
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
     # guarantee the interval brackets the point estimate despite rounding
-    return min(lo, phat), max(hi, phat)
+    return float(min(lo, phat)), float(max(hi, phat))
 
 
 @dataclass

@@ -14,6 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 ACYCLIC = float("inf")  # sentinel girth for cycle-free prefixes
+# a PEG BFS level goes bottom-up when the unreached side's adjacency entries
+# number fewer than this many times the frontier's
+_BOTTOM_UP = 2
 
 
 class AlistParseError(ValueError):
@@ -191,6 +194,18 @@ def peg_construct(
     maximal BFS depth.  Ties are broken by minimum current check degree and
     then by a seed-derived permutation of the check indices, so the result
     is deterministic for fixed inputs.
+
+    Layout: ``var_adj`` (n, max degree) and ``check_adj`` (m, cap) are
+    padded with the sentinels m and n, and the per-node BFS depth arrays
+    have one extra entry for that sentinel which reads as reached and lies
+    on no level, so a level needs no row-length mask.  Each BFS level is
+    found top-down (neighbours of the frontier, unreached ones kept,
+    duplicates dropped by a stamp array) or, when the unreached side has
+    fewer than ``_BOTTOM_UP`` times as many adjacency entries as the
+    frontier, bottom-up (unreached nodes with a neighbour on the frontier).
+    Both give the same set, and the tie-break key is unique per check, so
+    the order of a level never matters.  The search stops as soon as every
+    check is reached.
     """
     m, n = int(num_checks), int(num_vars)
     if len(profile) != n:
@@ -204,67 +219,78 @@ def peg_construct(
     rng = np.random.default_rng(seed)
     rank = np.empty(m, dtype=np.int64)
     rank[rng.permutation(m)] = np.arange(m)
+    all_checks = np.arange(m)
 
     max_col_deg = int(degs.max())
-    var_adj = np.full((n, max_col_deg), -1, dtype=np.int32)
-    var_cnt = np.zeros(n, dtype=np.int32)
+    var_adj = np.full((n, max_col_deg), m, dtype=np.int32)
     cap = 8
-    check_adj = np.full((m, cap), -1, dtype=np.int32)
+    check_adj = np.full((m, cap), n, dtype=np.int32)
     check_cnt = np.zeros(m, dtype=np.int64)
 
-    reached_c = np.zeros(m, dtype=bool)
-    reached_v = np.zeros(n, dtype=bool)
+    # BFS depth per node, -1 while unreached; the last entry belongs to the
+    # padding sentinel, which is never -1 and never equals a level
+    depth_c = np.empty(m + 1, dtype=np.int32)
+    depth_v = np.empty(n + 1, dtype=np.int32)
+    depth_c[m] = depth_v[n] = np.iinfo(np.int32).max
+    stamp = np.empty(n, dtype=np.int64)
 
-    def bfs_candidates(j: int) -> np.ndarray:
-        """Checks eligible for the next edge of variable j (PEG rule)."""
-        reached_c[:] = False
-        reached_v[:] = False
-        reached_v[j] = True
-        frontier_c = var_adj[j, : var_cnt[j]]
-        if frontier_c.size == 0:
-            return np.arange(m)
-        reached_c[frontier_c] = True
-        last_level = frontier_c
-        while True:
-            rows = check_adj[frontier_c]
-            mask = np.arange(cap) < check_cnt[frontier_c, None]
-            vs = rows[mask]
-            vs = vs[~reached_v[vs]]
-            if vs.size == 0:
+    def bfs_candidates(j: int, e: int) -> np.ndarray:
+        """Checks eligible for edge e > 0 of variable j (PEG rule)."""
+        depth_c[:m] = -1
+        depth_v[:j] = -1  # only variables 0..j have edges yet
+        depth_v[j] = 0
+        frontier = var_adj[j, :e]
+        depth_c[frontier] = 1
+        last = frontier
+        reached_c, reached_v = frontier.size, 0  # reached_v excludes j
+        level = 1
+        while reached_c < m:
+            if level % 2:  # checks -> variables 0..j-1
+                fwd, back, d_to, d_from = check_adj, var_adj, depth_v, depth_c
+                total, left = j, j - reached_v
+            else:  # variables -> checks
+                fwd, back, d_to, d_from = var_adj, check_adj, depth_c, depth_v
+                total, left = m, m - reached_c
+            if left * back.shape[1] < _BOTTOM_UP * frontier.size * fwd.shape[1]:
+                todo = np.flatnonzero(d_to[:total] < 0)
+                nxt = todo[(d_from[back[todo]] == level).any(axis=1)]
+            else:
+                xs = fwd[frontier].ravel()
+                xs = xs[d_to[xs] < 0]
+                k = np.arange(xs.size)
+                stamp[xs] = k
+                nxt = xs[stamp[xs] == k]
+            if nxt.size == 0:
                 break
-            new_v = np.unique(vs)
-            reached_v[new_v] = True
-            rows = var_adj[new_v]
-            vmask = np.arange(max_col_deg) < var_cnt[new_v, None]
-            cs = rows[vmask]
-            cs = cs[~reached_c[cs]]
-            if cs.size == 0:
-                break
-            new_c = np.unique(cs)
-            reached_c[new_c] = True
-            frontier_c = new_c
-            last_level = new_c
-        unreached = np.flatnonzero(~reached_c)
-        return unreached if unreached.size else last_level
+            level += 1
+            d_to[nxt] = level
+            frontier = nxt
+            if level % 2:
+                reached_c += nxt.size
+                last = nxt
+            else:
+                reached_v += nxt.size
+        if reached_c < m:
+            return np.flatnonzero(depth_c[:m] < 0)
+        return last
 
     for j in range(n):
-        for _ in range(int(degs[j])):
-            cand = bfs_candidates(j)
+        for e in range(int(degs[j])):
+            cand = bfs_candidates(j, e) if e else all_checks
             key = check_cnt[cand] * (m + 1) + rank[cand]
             c = int(cand[np.argmin(key)])
-            var_adj[j, var_cnt[j]] = c
-            var_cnt[j] += 1
+            var_adj[j, e] = c
             if check_cnt[c] == cap:
                 check_adj = np.concatenate(
-                    [check_adj, np.full((m, cap), -1, dtype=np.int32)], axis=1
+                    [check_adj, np.full((m, cap), n, dtype=np.int32)], axis=1
                 )
                 cap *= 2
             check_adj[c, check_cnt[c]] = j
             check_cnt[c] += 1
 
-    # sorting pushes the -1 padding of short columns to the row front
+    # sorting pushes the sentinel padding of short columns to the row end
     srt = np.sort(var_adj, axis=1)
-    col_indices = srt[srt >= 0]
+    col_indices = srt[srt < m]
     col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     return ParityMatrix(m, n, col_indptr, col_indices)
 
@@ -288,16 +314,25 @@ def girth_of_prefix(prefix: MatrixPrefix):
     and the best value over all roots is the exact girth.  Returns an even
     integer >= 4, or ``ACYCLIC`` (inf) when no cycle exists.
     """
+    return _girth_from_roots(prefix, 0, ACYCLIC)
+
+
+def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
+    """min(``best``, shortest cycle found by BFS from roots first_root..width-1).
+
+    Every root's value is at least the prefix girth, and the shortest cycle
+    through a root is found from it, so with ``best`` the girth of the first
+    ``first_root`` columns the result is the girth of the whole prefix.
+    """
     e = prefix.edges
     m, w = e.num_checks, e.width
     col_indptr = e.var_indptr
     col_indices = e.edge_check
     row_indptr, row_indices = e.check_indptr, e.edge_var_cm
 
-    best = ACYCLIC
     visit_c = np.full(m, -1, dtype=np.int64)
     visit_v = np.full(w, -1, dtype=np.int64)
-    for root in range(w):
+    for root in range(first_root, w):
         if best <= 4:
             break  # bipartite graphs cannot do better
         visit_v[root] = root
@@ -333,7 +368,11 @@ def girth_of_prefix(prefix: MatrixPrefix):
 
 
 def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
-    """Girth of each prefix width, widths strictly increasing in (m, n]."""
+    """Girth of each prefix width, widths strictly increasing in (m, n].
+
+    Girth can only fall as columns are added, so each width starts from the
+    previous width's girth and searches only from its new columns.
+    """
     widths = [int(w) for w in widths]
     if not widths:
         raise ValueError("widths must be nonempty")
@@ -343,7 +382,12 @@ def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
         raise ValueError(
             f"widths must lie in ({matrix.num_checks}, {matrix.num_vars}]"
         )
-    return [(w, girth_of_prefix(MatrixPrefix(matrix, w))) for w in widths]
+    out, girth, done = [], ACYCLIC, 0
+    for w in widths:
+        girth = _girth_from_roots(MatrixPrefix(matrix, w), done, girth)
+        out.append((w, girth))
+        done = w
+    return out
 
 
 def save_alist(matrix: ParityMatrix, path) -> None:

@@ -18,6 +18,7 @@ class TestWilson:
         for k, n in [(0, 100), (3, 100), (50, 100), (100, 100), (1, 7)]:
             lo, hi = wilson_interval(k, n)
             assert 0.0 <= lo <= k / n <= hi <= 1.0
+            assert type(lo) is float and type(hi) is float
 
     def test_zero_failures_has_zero_lower(self):
         lo, hi = wilson_interval(0, 500)

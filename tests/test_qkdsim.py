@@ -201,7 +201,8 @@ class TestFrameLevelCheck:
             assert r.width in (320, 256)
             assert r.agrees
 
-    def test_golden_row_digest(self):
+    @pytest.fixture(scope="class")
+    def waterfall_row(self):
         matrix = rl.peg_construct(64, 320, rl.DegreeProfile.interleaved_4_5(320), seed=17)
         table = rl.build_table(
             matrix, (320, 192, 128), (0.01, 0.03, 0.06, 0.10), 80, seed=5,
@@ -212,6 +213,17 @@ class TestFrameLevelCheck:
             matrix, table, rl.LinkParams(), [100.0], frames=120, seed=4,
             max_iterations=15,
         )
+        return r
+
+    def test_row_field_types(self, waterfall_row):
+        r = waterfall_row
+        mc = r.mc_fer
+        for value in (r.table_fer, *r.table_ci, mc.point_estimate, mc.ci_low, mc.ci_high):
+            assert type(value) is float
+        assert type(r.agrees) is bool
+
+    def test_golden_row_digest(self, waterfall_row):
+        r = waterfall_row
         mc = r.mc_fer
         values = [
             mc.point_estimate, mc.frames_run, mc.failures, mc.ci_low, mc.ci_high,

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import raldpc as rl
 from raldpc.tanner import ACYCLIC, AlistParseError
+
+from _oracles import peg_reference
 
 
 def small_matrix(cols, m):
@@ -68,6 +72,36 @@ class TestPegConstruct:
             rl.peg_construct(4, 8, rl.DegreeProfile.uniform(6, 2), seed=0)
 
 
+@st.composite
+def peg_codes(draw):
+    """(m, n, ragged profile, seed), degrees in 2..m so degree == m occurs."""
+    m = draw(st.integers(2, 24))
+    n = draw(st.integers(m + 1, 3 * m + 8))
+    degs = draw(st.lists(st.integers(2, m), min_size=n, max_size=n))
+    return m, n, rl.DegreeProfile(np.asarray(degs)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestPegReference:
+    """``peg_construct`` equals the plain top-down PEG of ``_oracles``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(code=peg_codes())
+    # sparse degree-2 columns: early BFS runs exhaust their component, so
+    # the candidates are the unreached checks
+    @example(code=(16, 40, rl.DegreeProfile.uniform(40, 2), 5))
+    # every column touches every check
+    @example(code=(5, 9, rl.DegreeProfile.uniform(9, 5), 1))
+    def test_matches_reference(self, code):
+        m, n, profile, seed = code
+        assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
+
+    def test_matches_reference_interleaved(self):
+        # sparse like the real mother: deep searches that reach every check,
+        # mixing top-down and bottom-up levels
+        prof = rl.DegreeProfile.interleaved_4_5(400)
+        assert rl.peg_construct(40, 400, prof, 11) == peg_reference(40, 400, prof, 11)
+
+
 class TestGoldenDigest:
     """Full ``matrix_digest`` of fixed PEG codes: construction stays bit-identical."""
 
@@ -94,6 +128,18 @@ class TestGoldenDigest:
         assert rl.matrix_digest(mother_matrix) == (
             "83bb245f68d31035f2ed21262bff8ab2adfeefbb76f87c59f6581b6c309760c6"
         )
+
+    def test_large_mother(self):
+        # 2048x10240: twice the acceptance mother's frame length
+        matrix = rl.peg_construct(
+            2048, 10240, rl.DegreeProfile.interleaved_4_5(10240), 20260810
+        )
+        assert rl.matrix_digest(matrix) == (
+            "cce9f5fc549da8598cd0f96d35292a2157c6a9c35b908707921666e095da7950"
+        )
+        assert rl.girth_profile(matrix, [2560, 5120, 10240]) == [
+            (2560, 8), (5120, 8), (10240, 6),
+        ]
 
 
 class TestGirth:
@@ -127,6 +173,18 @@ class TestGirth:
             for g in girths:
                 assert g == ACYCLIC or (g % 2 == 0 and g >= 4)
             assert all(a >= b for a, b in zip(girths, girths[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(code=peg_codes(), data=st.data())
+    def test_profile_matches_per_width_girth(self, code, data):
+        m, n, profile, seed = code
+        matrix = rl.peg_construct(m, n, profile, seed)
+        widths = sorted(data.draw(
+            st.sets(st.integers(m + 1, n), min_size=1, max_size=5)
+        ))
+        assert rl.girth_profile(matrix, widths) == [
+            (w, rl.girth_of_prefix(rl.MatrixPrefix(matrix, w))) for w in widths
+        ]
 
     def test_girth_profile_validation(self):
         m = rl.peg_construct(8, 24, rl.DegreeProfile.uniform(24, 2), seed=0)
