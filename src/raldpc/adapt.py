@@ -139,6 +139,13 @@ class DistillationTable:
         stray = [w for w in self.working if w is not None and w not in self.widths]
         if stray:
             raise ValueError(f"working widths {stray} are not among the table widths")
+        absent = [
+            (float(e), w)
+            for e, w, row in zip(self.error_rates, self.working, self.alpha)
+            if w is not None and np.isnan(row[self.widths == w][0])
+        ]
+        if absent:
+            raise ValueError(f"working (rate, width) cells {absent} have no alpha")
 
     def lookup(self, e: float) -> tuple[int, int]:
         """Cell (i, j) of the working width at the nearest grid row at or
@@ -213,8 +220,9 @@ def save_table_csv(table: DistillationTable, path) -> None:
 
 
 def load_table_csv(path) -> DistillationTable:
-    """Read a table CSV; duplicate or missing (rate, width) cells, and a rate
-    with more than one working width, are refused."""
+    """Read a table CSV; duplicate or missing (rate, width) cells, a working
+    flag other than 0/1, and a rate with more than one working width, are
+    refused."""
     cells = {}
     with open(path, "r", newline="", encoding="ascii") as fh:
         rd = csv.reader(fh)
@@ -249,6 +257,8 @@ def load_table_csv(path) -> DistillationTable:
         fer[i, j] = float(row[3])
         lo[i, j] = float(row[4])
         hi[i, j] = float(row[5])
+        if row[6] not in ("0", "1"):
+            raise ValueError(f"{path}: working flag {row[6]!r} is not 0 or 1")
         if row[6] == "1":
             if working[i] is not None:
                 raise ValueError(f"{path}: rate {e:.3f} has more than one working width")

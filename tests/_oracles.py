@@ -3,12 +3,16 @@
 ``CosetOracle`` and friends work on dense bitmask enumerations (n <= ~20),
 completely independent of the message-passing decoder under test.
 ``peg_reference`` is the plain top-down PEG construction that
-``raldpc.peg_construct`` must reproduce edge for edge.
+``raldpc.peg_construct`` must reproduce edge for edge, and
+``decode_batch_reference`` is the sum-product batch decoder that
+``raldpc.codec._decode_batch`` must reproduce output for output.
 """
 
 import numpy as np
 
-from raldpc import DegreeProfile, ParityMatrix
+from raldpc import DegreeProfile, ParityMatrix, encode_syndrome_batch
+from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
+from raldpc.tanner import MatrixPrefix
 
 
 def dense_parity(prefix) -> np.ndarray:
@@ -177,3 +181,112 @@ def peg_reference(
     col_indices = srt[srt >= 0]
     col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     return ParityMatrix(m, n, col_indptr, col_indices)
+
+
+def _batch_syndrome_mismatch(
+    prefix: MatrixPrefix, hard: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    return np.count_nonzero(encode_syndrome_batch(prefix, hard) != target, axis=1)
+
+
+def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
+    """out[:, k] = src[:, idx[k]], written C-contiguous into ``out``.
+
+    The indices come from ``PrefixEdges`` and are always in range; mode
+    "clip" only lets ``np.take`` write into ``out`` without a buffered copy.
+    """
+    np.take(src, idx, axis=1, out=out, mode="clip")
+
+
+def decode_batch_reference(
+    prefix: MatrixPrefix,
+    noisy: np.ndarray,
+    target: np.ndarray,
+    config: DecoderConfig,
+):
+    """Decode a batch of independent frames with one flooding schedule.
+
+    The one-pass kernel that ``raldpc.codec._decode_batch`` replaced: all
+    frames in one set of (frames, edges) buffers at full LLR scale, with
+    the candidate syndrome re-encoded by ``encode_syndrome_batch`` every
+    iteration.  Kept as the reference the blocked kernel must match on all
+    four outputs.
+
+    Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
+    unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
+    """
+    e = prefix.edges
+    B = noisy.shape[0]
+    p = config.crossover_prior
+    prior_mag = min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
+
+    hard = noisy.astype(np.uint8).copy()
+    iters = np.zeros(B, dtype=np.int64)
+    unsat = _batch_syndrome_mismatch(prefix, hard, target)
+    active = np.flatnonzero(unsat > 0)
+    if active.size == 0:
+        return hard, unsat == 0, iters, unsat
+
+    prior = prior_mag * (1.0 - 2.0 * noisy[active].astype(np.float64))
+    sgn_syn = 1.0 - 2.0 * target[active].astype(np.float64)
+    # check-major edge messages, reused across iterations; the first n rows
+    # hold the n frames still active
+    v2c_buf, t_buf, c2v_buf, ext_buf = (
+        np.empty((active.size, e.num_edges)) for _ in range(4)
+    )
+    full_buf = np.ones((active.size, e.num_checks))
+    _gather(prior, e.edge_var_cm, v2c_buf)
+
+    for it in range(1, config.max_iterations + 1):
+        n = active.size
+        v2c, t, c2v, ext = v2c_buf[:n], t_buf[:n], c2v_buf[:n], ext_buf[:n]
+        full = full_buf[:n]
+
+        # check update: extrinsic tanh product, syndrome sign folded in
+        np.multiply(v2c, 0.5, out=t)
+        np.tanh(t, out=t)
+        np.abs(t, out=ext)
+        np.maximum(ext, _TANH_FLOOR, out=ext)
+        np.copysign(ext, t, out=t)
+        # only present checks are refreshed here and gathered below, so the
+        # other entries of the reused buffer never matter
+        full[:, e.present_checks] = np.multiply.reduceat(t, e.check_first, axis=1)
+        np.multiply(full, sgn_syn, out=full)
+        _gather(full, e.edge_check_cm, ext)
+        np.divide(ext, t, out=ext)
+        np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
+        np.arctanh(ext, out=c2v)
+        np.multiply(c2v, 2.0, out=c2v)
+        np.clip(c2v, -_LLR_CLAMP, _LLR_CLAMP, out=c2v)
+
+        # variable update and hard decision; ext holds c2v in variable order
+        _gather(c2v, e.inv_perm, ext)
+        post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
+        _gather(post, e.edge_var_cm, v2c)
+        np.subtract(v2c, c2v, out=v2c)
+        np.clip(v2c, -_LLR_CLAMP, _LLR_CLAMP, out=v2c)
+        cand = (post < 0).astype(np.uint8)
+
+        miss = _batch_syndrome_mismatch(prefix, cand, target[active])
+        done = miss == 0
+        if np.any(done):
+            rows = active[done]
+            hard[rows] = cand[done]
+            iters[rows] = it
+            unsat[rows] = 0
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                break
+            prior = prior[keep]
+            v2c_buf[: active.size] = v2c[keep]
+            sgn_syn = sgn_syn[keep]
+            cand = cand[keep]
+            miss = miss[keep]
+
+    if active.size:
+        # non-converged frames keep their last hard decision
+        hard[active] = cand
+        iters[active] = config.max_iterations
+        unsat[active] = miss
+    return hard, unsat == 0, iters, unsat

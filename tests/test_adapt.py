@@ -231,6 +231,19 @@ class TestSelectWidth:
                 working=[999],
             )
 
+    def test_working_width_must_have_an_alpha(self):
+        t = synthetic_table()
+        with pytest.raises(ValueError, match="no alpha"):
+            DistillationTable(
+                error_rates=t.error_rates,
+                widths=t.widths,
+                alpha=t.alpha,
+                fer=t.fer,
+                ci_low=t.ci_low,
+                ci_high=t.ci_high,
+                working=t.working[:4] + [5120],  # row 0.014 has 5120 absent
+            )
+
 
 class TestTableCsv:
     def test_round_trip(self, tmp_path):
@@ -313,4 +326,25 @@ class TestTableCsv:
             "0.010,256,0.4000,0.000000,0.000000,0.010000,1\n"
         )
         with pytest.raises(ValueError, match="more than one working width"):
+            rl.load_table_csv(path)
+
+    def test_rejects_working_flag_on_absent_cell(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "error_rate,width,alpha,fer,ci_low,ci_high,working\n"
+            "0.011,5120,,0.995000,0.970000,1.000000,1\n"
+            "0.011,4096,0.7500,0.000000,0.000000,0.010000,0\n"
+        )
+        with pytest.raises(ValueError, match="no alpha"):
+            rl.load_table_csv(path)
+
+    @pytest.mark.parametrize("flag", ["2", "", "yes", "01"])
+    def test_rejects_working_flag_other_than_0_or_1(self, tmp_path, flag):
+        path = tmp_path / "table.csv"
+        path.write_text(
+            "error_rate,width,alpha,fer,ci_low,ci_high,working\n"
+            "0.010,512,0.5000,0.000000,0.000000,0.010000,1\n"
+            f"0.010,256,0.4000,0.000000,0.000000,0.010000,{flag}\n"
+        )
+        with pytest.raises(ValueError, match="working flag"):
             rl.load_table_csv(path)

@@ -302,6 +302,31 @@ class TestSimulateLink:
         assert code == 3
         assert not (tmp_path / "r.csv").exists()
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # 5120 is absent at 0.011 but flagged as the working width
+            ["0.011,5120,,0.995000,0.970000,1.000000,1",
+             "0.011,4096,0.7500,0.000000,0.000000,0.010000,0"],
+            # a flag of 2 is neither 0 nor 1
+            ["0.011,5120,0.8000,0.000000,0.000000,0.010000,2",
+             "0.011,4096,0.7500,0.000000,0.000000,0.010000,1"],
+        ],
+        ids=["absent-cell-flagged", "flag-2"],
+    )
+    def test_bad_working_flag_is_parse_error(self, tmp_path, rows):
+        table = tmp_path / "table.csv"
+        table.write_text(
+            "error_rate,width,alpha,fer,ci_low,ci_high,working\n"
+            + "\n".join(rows) + "\n"
+        )
+        code = main(
+            ["simulate-link", "--table", str(table),
+             "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert not (tmp_path / "r.csv").exists()
+
     def test_missing_table_is_io_error(self, tmp_path):
         code = main(
             ["simulate-link", "--table", str(tmp_path / "nope.csv"),

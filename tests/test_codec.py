@@ -6,9 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
-from raldpc.codec import DecoderConfig, _decode_batch
+from raldpc.codec import _FRAME_BLOCK, DecoderConfig, _decode_batch
 
-from _oracles import CosetOracle, dense_parity, patterns_of_weight_at_most
+from _oracles import (
+    CosetOracle,
+    decode_batch_reference,
+    dense_parity,
+    patterns_of_weight_at_most,
+)
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +251,74 @@ class TestBatchSplit:
             part = _decode_batch(prefix, noisy[idx], syn[idx], cfg)
             for got, want in zip(part, whole):
                 assert np.array_equal(got, want[idx])
+
+
+@st.composite
+def decode_cases(draw):
+    """A random small code, a prefix of it, and a batch of frames to decode.
+
+    The code is a ragged PEG code whose checks are spread over up to three
+    more check rows, so some checks have no edge; some frames get target
+    1-bits on those checks, which no key can satisfy, so they run to
+    max_iterations.
+    """
+    m = draw(st.integers(2, 16))
+    spare = draw(st.integers(0, 3))
+    n = draw(st.integers(m + spare + 1, 3 * m + 8))
+    degs = draw(st.lists(st.integers(2, min(m, 4)), min_size=n, max_size=n))
+    peg = rl.peg_construct(
+        m, n, rl.DegreeProfile(np.asarray(degs)), draw(st.integers(0, 2**32 - 1))
+    )
+    rows = np.sort(draw(st.permutations(range(m + spare)))[:m])
+    matrix = rl.ParityMatrix(m + spare, n, peg.col_indptr, rows[peg.col_indices])
+    prefix = rl.MatrixPrefix(matrix, draw(st.integers(m + spare + 1, n)))
+    batch = draw(st.integers(0, 3 * _FRAME_BLOCK + 1))
+    p = draw(st.floats(0.001, 0.2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keys = rng.integers(0, 2, (batch, prefix.width), dtype=np.uint8)
+    syn = rl.encode_syndrome_batch(prefix, keys)
+    absent = np.setdiff1d(np.arange(m + spare), prefix.edges.present_checks)
+    if absent.size:
+        hostile = rng.random(batch) < 0.3
+        syn[np.ix_(hostile, absent)] = rng.integers(0, 2, (hostile.sum(), absent.size))
+    noise = rng.random(batch)[:, None] * 2 * p
+    noisy = keys ^ (rng.random(keys.shape) < noise).astype(np.uint8)
+    cfg = DecoderConfig(crossover_prior=p, max_iterations=draw(st.integers(1, 20)))
+    return prefix, noisy, syn, cfg
+
+
+class TestDecodeReference:
+    """``_decode_batch`` equals the one-pass kernel of ``_oracles`` on every output."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=decode_cases())
+    def test_matches_reference(self, case):
+        prefix, noisy, syn, cfg = case
+        got = _decode_batch(prefix, noisy, syn, cfg)
+        want = decode_batch_reference(prefix, noisy, syn, cfg)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_absent_checks_never_converge(self):
+        # check 2 touches no column; a target 1-bit there stays unsatisfied
+        bare = rl.ParityMatrix(
+            4, 6, [0, 2, 4, 6, 7, 9, 10], [0, 1, 1, 3, 0, 3, 1, 0, 1, 3]
+        )
+        prefix = rl.MatrixPrefix(bare, 6)
+        rng = np.random.default_rng(13)
+        batch = 2 * _FRAME_BLOCK + 3
+        keys = rng.integers(0, 2, (batch, 6), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        syn[::2, 2] = 1
+        noisy = keys ^ (rng.random(keys.shape) < 0.1).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=0.1, max_iterations=7)
+        got = _decode_batch(prefix, noisy, syn, cfg)
+        want = decode_batch_reference(prefix, noisy, syn, cfg)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        hard, ok, iters, unsat = got
+        assert not ok[::2].any() and np.all(iters[::2] == 7)
+        assert np.all(unsat[::2] >= 1)
 
 
 class TestDecoderConfig:
