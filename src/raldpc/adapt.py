@@ -124,8 +124,13 @@ class DistillationTable:
     def __post_init__(self):
         self.error_rates = np.asarray(self.error_rates, dtype=float)
         self.widths = np.asarray(self.widths, dtype=np.int64)
+        # comparisons are False on NaN, so each check refuses it
+        if not np.all((self.error_rates > 0) & (self.error_rates < 0.5)):
+            raise ValueError("error rates must lie in (0, 0.5)")
         if np.any(np.diff(self.error_rates) <= 0):
             raise ValueError("error rates must be strictly increasing")
+        if np.any(self.widths <= 0):
+            raise ValueError("widths must be positive")
         if np.any(np.diff(self.widths) >= 0):
             raise ValueError("widths must be strictly decreasing")
         shape = (self.error_rates.size, self.widths.size)
@@ -133,7 +138,11 @@ class DistillationTable:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
+            if name != "alpha" and not np.all((arr >= 0) & (arr <= 1)):
+                raise ValueError(f"{name} must lie in [0, 1]")
             setattr(self, name, arr)
+        if not np.all((self.ci_low <= self.fer) & (self.fer <= self.ci_high)):
+            raise ValueError("every [ci_low, ci_high] interval must contain its fer")
         if len(self.working) != self.error_rates.size:
             raise ValueError("working must have one entry per error rate")
         stray = [w for w in self.working if w is not None and w not in self.widths]

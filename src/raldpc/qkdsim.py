@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,6 +37,9 @@ class LinkParams:
     sifting_factor: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         for name in ("detector_efficiency", "dark_count_prob", "visibility"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

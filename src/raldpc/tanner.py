@@ -156,7 +156,8 @@ class PrefixEdges:
     check-major order; ``inv_perm`` takes a check-major array to var-major
     order for the variable-node sums.  ``check_first``/``present_checks``
     give reduceat segment starts over the check-major order for the checks
-    that actually have edges inside the prefix.
+    that actually have edges inside the prefix.  At full width the check-major
+    CSR is ``_padded_adjacency``'s check table and ``load_alist``'s row check.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
@@ -295,125 +296,94 @@ def peg_construct(
     return ParityMatrix(m, n, col_indptr, col_indices)
 
 
-def _gather_rows(indptr, indices, rows):
-    """Concatenate CSR rows ``rows`` without a Python loop."""
-    lens = indptr[rows + 1] - indptr[rows]
-    total = int(lens.sum())
-    if total == 0:
-        return indices[:0]
-    pos = np.repeat(np.cumsum(lens) - lens, lens)
-    src = np.repeat(indptr[rows], lens) + (np.arange(total) - pos)
-    return indices[src]
+def _padded_adjacency(matrix: ParityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """(column table, check table) of the matrix, the layout PEG grows.
+
+    Each is an int32 (rows, max degree) array of CSR rows padded with a
+    sentinel: row j of the column table holds column j's checks then m,
+    row i of the check table holds check i's columns, increasing, then n.
+    """
+    e = PrefixEdges(matrix, matrix.num_vars)
+    tables = []
+    for indptr, indices, pad in (
+        (matrix.col_indptr, matrix.col_indices, matrix.num_checks),
+        (e.check_indptr, e.edge_var_cm, matrix.num_vars),
+    ):
+        lens = np.diff(indptr)
+        table = np.full((lens.size, int(lens.max())), pad, dtype=np.int32)
+        table[np.arange(table.shape[1]) < lens[:, None]] = indices
+        tables.append(table)
+    return tuple(tables)
 
 
 def girth_of_prefix(prefix: MatrixPrefix):
-    """Exact girth of the Tanner graph restricted to the prefix columns.
-
-    BFS from every variable node; the first BFS level at which some node is
-    reached along two distinct edges certifies a cycle of twice that depth,
-    and the best value over all roots is the exact girth.  Returns an even
-    integer >= 4, or ``ACYCLIC`` (inf) when no cycle exists.
-    """
-    return _girth_from_roots(prefix, 0, ACYCLIC)
-
-
-def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
-    """min(``best``, shortest cycle found by BFS from roots first_root..width-1).
-
-    Every root's value is at least the prefix girth, and the shortest cycle
-    through a root is found from it, so with ``best`` the girth of the first
-    ``first_root`` columns the result is the girth of the whole prefix.
-    """
-    e = prefix.edges
-    m, w = e.num_checks, e.width
-    col_indptr = e.var_indptr
-    col_indices = e.edge_check
-    row_indptr, row_indices = e.check_indptr, e.edge_var_cm
-
-    visit_c = np.full(m, -1, dtype=np.int64)
-    visit_v = np.full(w, -1, dtype=np.int64)
-    for root in range(first_root, w):
-        if best <= 4:
-            break  # bipartite graphs cannot do better
-        visit_v[root] = root
-        frontier_v = np.array([root], dtype=np.int64)
-        frontier_c = None
-        depth = 0
-        while True:
-            depth += 1
-            if 2 * depth >= best:
-                break
-            if depth % 2 == 1:  # variables -> checks
-                targets = _gather_rows(col_indptr, col_indices, frontier_v)
-                targets = targets[visit_c[targets] != root]
-                if targets.size == 0:
-                    break
-                counts = np.bincount(targets, minlength=m)
-                hit = counts.max() >= 2
-                frontier_c = np.flatnonzero(counts)
-                visit_c[frontier_c] = root
-            else:  # checks -> variables
-                targets = _gather_rows(row_indptr, row_indices, frontier_c)
-                targets = targets[visit_v[targets] != root]
-                if targets.size == 0:
-                    break
-                counts = np.bincount(targets, minlength=w)
-                hit = counts.max() >= 2
-                frontier_v = np.flatnonzero(counts)
-                visit_v[frontier_v] = root
-            if hit:
-                best = min(best, 2 * depth)
-                break
-    return int(best) if best != ACYCLIC else ACYCLIC
+    """Exact girth of the Tanner graph restricted to the prefix columns."""
+    return girth_profile(prefix.matrix, [prefix.width])[0][1]
 
 
 def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
     """Girth of each prefix width, widths strictly increasing in (m, n].
 
-    Girth can only fall as columns are added, so each width starts from the
-    previous width's girth and searches only from its new columns.
+    BFS from every variable node over the padded tables of
+    ``_padded_adjacency``; the first level at which some node is reached
+    twice certifies a cycle of twice that depth, and the best value over
+    all roots is the exact girth: an even integer >= 4, or ``ACYCLIC``
+    (inf) when no cycle exists.  A level alternates between the column
+    table (marks on checks, sentinel m) and the check table (marks on
+    columns, entries >= width dropped).  Girth can only fall as columns
+    are added, so each width starts from the previous width's girth and
+    searches only from its new columns.
     """
     widths = [int(w) for w in widths]
     if not widths:
         raise ValueError("widths must be nonempty")
     if any(b <= a for a, b in zip(widths, widths[1:])):
         raise ValueError("widths must be strictly increasing")
-    if widths[0] <= matrix.num_checks or widths[-1] > matrix.num_vars:
-        raise ValueError(
-            f"widths must lie in ({matrix.num_checks}, {matrix.num_vars}]"
-        )
-    out, girth, done = [], ACYCLIC, 0
+    m = matrix.num_checks
+    if widths[0] <= m or widths[-1] > matrix.num_vars:
+        raise ValueError(f"widths must lie in ({m}, {matrix.num_vars}]")
+    col_adj, check_adj = _padded_adjacency(matrix)
+    # root that last reached each check / column
+    mark_c = np.full(m, -1, dtype=np.int64)
+    mark_v = np.full(matrix.num_vars, -1, dtype=np.int64)
+    out, best, done = [], ACYCLIC, 0
     for w in widths:
-        girth = _girth_from_roots(MatrixPrefix(matrix, w), done, girth)
-        out.append((w, girth))
+        sides = ((col_adj, mark_c, m), (check_adj, mark_v, w))
+        for root in range(done, w):
+            if best <= 4:
+                break  # bipartite graphs cannot do better
+            mark_v[root] = root
+            frontier = np.array([root])
+            depth = 0
+            while frontier.size and 2 * (depth + 1) < best:
+                adj, mark, limit = sides[depth % 2]
+                depth += 1
+                xs = adj[frontier].ravel()
+                xs = xs[xs < limit]
+                xs = xs[mark[xs] != root]
+                frontier = np.unique(xs)
+                if frontier.size < xs.size:  # a node reached twice closes a cycle
+                    best = 2 * depth
+                    break
+                mark[frontier] = root
+        out.append((w, best))
         done = w
     return out
 
 
 def save_alist(matrix: ParityMatrix, path) -> None:
     """Write the matrix in alist text format (1-based, zero-padded rows)."""
-    col_deg = matrix.column_degrees()
-    e = PrefixEdges(matrix, matrix.num_vars)
-    row_indptr, row_indices = e.check_indptr, e.edge_var_cm
-    row_deg = np.diff(row_indptr)
-    max_col = int(col_deg.max())
-    max_row = int(row_deg.max())
-    lines = [
-        f"{matrix.num_vars} {matrix.num_checks}",
-        f"{max_col} {max_row}",
-        " ".join(str(int(d)) for d in col_deg),
-        " ".join(str(int(d)) for d in row_deg),
-    ]
-    for j in range(matrix.num_vars):
-        ents = [str(int(c) + 1) for c in matrix.column(j)]
-        ents += ["0"] * (max_col - len(ents))
-        lines.append(" ".join(ents))
-    for i in range(matrix.num_checks):
-        ents = [str(int(v) + 1) for v in row_indices[row_indptr[i]:row_indptr[i + 1]]]
-        ents += ["0"] * (max_row - len(ents))
-        lines.append(" ".join(ents))
+    if matrix.num_edges == 0:
+        raise ValueError("an alist file cannot hold a matrix with no edges")
+    col_adj, check_adj = _padded_adjacency(matrix)
+    sides = ((col_adj, matrix.num_checks), (check_adj, matrix.num_vars))
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{matrix.num_vars} {matrix.num_checks}\n")
+        fh.write(f"{col_adj.shape[1]} {check_adj.shape[1]}\n")
+        for table, pad in sides:  # degrees
+            np.savetxt(fh, [np.count_nonzero(table < pad, axis=1)], fmt="%d")
+        for table, pad in sides:  # entries, 1-based with 0 as padding
+            np.savetxt(fh, np.where(table < pad, table + 1, 0), fmt="%d")
 
 
 def _ints(line: str, lineno: int) -> list[int]:
@@ -470,11 +440,10 @@ def load_alist(path) -> ParityMatrix:
             raise AlistParseError(f"line {ln}: duplicate check index in column {j}")
         cols.append(sorted(x - 1 for x in ents))
 
-    # validate the row section against the column section
-    row_seen = [[] for _ in range(m)]
-    for j, ents in enumerate(cols):
-        for c in ents:
-            row_seen[c].append(j)
+    col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+    matrix = ParityMatrix(m, n, col_indptr, np.concatenate(cols).astype(np.int32))
+    # validate the row section against the column section's check-major CSR
+    e = PrefixEdges(matrix, n)
     for i in range(m):
         ln, text = lines[4 + n + i]
         ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
@@ -482,12 +451,6 @@ def load_alist(path) -> ParityMatrix:
             raise AlistParseError(
                 f"line {ln}: row {i} has {len(ents)} entries, declared {row_deg[i]}"
             )
-        if ents != sorted(row_seen[i]):
+        if ents != e.edge_var_cm[e.check_indptr[i]:e.check_indptr[i + 1]].tolist():
             raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
-
-    col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
-    col_indices = np.concatenate([np.asarray(c, dtype=np.int32) for c in cols]) if cols else np.empty(0, np.int32)
-    total = int(col_indptr[-1])
-    if total != sum(row_deg):
-        raise AlistParseError("line 4: row degrees do not sum to the edge count")
-    return ParityMatrix(m, n, col_indptr.astype(np.int64), col_indices)
+    return matrix

@@ -3,8 +3,9 @@
 ``CosetOracle`` and friends work on dense bitmask enumerations (n <= ~20),
 completely independent of the message-passing decoder under test.
 ``peg_reference`` is the plain top-down PEG construction that
-``raldpc.peg_construct`` must reproduce edge for edge, and
-``decode_batch_reference`` is the sum-product batch decoder that
+``raldpc.peg_construct`` must reproduce edge for edge, ``girth_reference``
+is the per-prefix CSR breadth-first search that ``raldpc.girth_profile``
+must agree with, and ``decode_batch_reference`` is the sum-product batch decoder that
 ``raldpc.codec._decode_batch`` must reproduce output for output.
 """
 
@@ -12,7 +13,7 @@ import numpy as np
 
 from raldpc import DegreeProfile, ParityMatrix, encode_syndrome_batch
 from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
-from raldpc.tanner import MatrixPrefix
+from raldpc.tanner import ACYCLIC, MatrixPrefix
 
 
 def dense_parity(prefix) -> np.ndarray:
@@ -181,6 +182,81 @@ def peg_reference(
     col_indices = srt[srt >= 0]
     col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     return ParityMatrix(m, n, col_indptr, col_indices)
+
+
+def _gather_rows(indptr, indices, rows):
+    """Concatenate CSR rows ``rows`` without a Python loop."""
+    lens = indptr[rows + 1] - indptr[rows]
+    total = int(lens.sum())
+    if total == 0:
+        return indices[:0]
+    pos = np.repeat(np.cumsum(lens) - lens, lens)
+    src = np.repeat(indptr[rows], lens) + (np.arange(total) - pos)
+    return indices[src]
+
+
+def girth_reference(prefix: MatrixPrefix):
+    """Exact girth of the Tanner graph restricted to the prefix columns.
+
+    The CSR search with mirrored variable and check branches that
+    ``raldpc.girth_profile`` replaced; kept as the reference it must match.
+
+    BFS from every variable node; the first BFS level at which some node is
+    reached along two distinct edges certifies a cycle of twice that depth,
+    and the best value over all roots is the exact girth.  Returns an even
+    integer >= 4, or ``ACYCLIC`` (inf) when no cycle exists.
+    """
+    return _girth_from_roots(prefix, 0, ACYCLIC)
+
+
+def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
+    """min(``best``, shortest cycle found by BFS from roots first_root..width-1).
+
+    Every root's value is at least the prefix girth, and the shortest cycle
+    through a root is found from it, so with ``best`` the girth of the first
+    ``first_root`` columns the result is the girth of the whole prefix.
+    """
+    e = prefix.edges
+    m, w = e.num_checks, e.width
+    col_indptr = e.var_indptr
+    col_indices = e.edge_check
+    row_indptr, row_indices = e.check_indptr, e.edge_var_cm
+
+    visit_c = np.full(m, -1, dtype=np.int64)
+    visit_v = np.full(w, -1, dtype=np.int64)
+    for root in range(first_root, w):
+        if best <= 4:
+            break  # bipartite graphs cannot do better
+        visit_v[root] = root
+        frontier_v = np.array([root], dtype=np.int64)
+        frontier_c = None
+        depth = 0
+        while True:
+            depth += 1
+            if 2 * depth >= best:
+                break
+            if depth % 2 == 1:  # variables -> checks
+                targets = _gather_rows(col_indptr, col_indices, frontier_v)
+                targets = targets[visit_c[targets] != root]
+                if targets.size == 0:
+                    break
+                counts = np.bincount(targets, minlength=m)
+                hit = counts.max() >= 2
+                frontier_c = np.flatnonzero(counts)
+                visit_c[frontier_c] = root
+            else:  # checks -> variables
+                targets = _gather_rows(row_indptr, row_indices, frontier_c)
+                targets = targets[visit_v[targets] != root]
+                if targets.size == 0:
+                    break
+                counts = np.bincount(targets, minlength=w)
+                hit = counts.max() >= 2
+                frontier_v = np.flatnonzero(counts)
+                visit_v[frontier_v] = root
+            if hit:
+                best = min(best, 2 * depth)
+                break
+    return int(best) if best != ACYCLIC else ACYCLIC
 
 
 def _batch_syndrome_mismatch(

@@ -348,3 +348,50 @@ class TestTableCsv:
         )
         with pytest.raises(ValueError, match="working flag"):
             rl.load_table_csv(path)
+
+
+def one_cell_table_csv(path, row):
+    path.write_text(f"error_rate,width,alpha,fer,ci_low,ci_high,working\n{row}\n")
+    return path
+
+
+class TestTablesThatLie:
+    def test_good_rows_load(self, tmp_path):
+        row = "0.010,512,0.5000,0.000000,0.000000,0.010000,1"
+        table = rl.load_table_csv(one_cell_table_csv(tmp_path / "t.csv", row))
+        assert table.working == [512]
+
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            ("nan,512,0.5000,0.000000,0.000000,0.010000,1", "error rates must lie"),
+            ("0.700,512,0.5000,0.000000,0.000000,0.010000,1", "error rates must lie"),
+            ("0.010,-5,0.5000,0.000000,0.000000,0.010000,1", "widths must be positive"),
+            ("0.010,512,0.5000,1.500000,0.000000,1.000000,1", "fer must lie"),
+            ("0.010,512,0.5000,0.500000,0.600000,0.700000,1", "contain its fer"),
+        ],
+        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer"],
+    )
+    def test_refused_on_load(self, tmp_path, row, match):
+        with pytest.raises(ValueError, match=match):
+            rl.load_table_csv(one_cell_table_csv(tmp_path / "t.csv", row))
+
+    @pytest.mark.parametrize("name", ["fer", "ci_low", "ci_high"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -0.1])
+    def test_refuses_probability_out_of_range(self, name, value):
+        t = synthetic_table()
+        fields = {k: getattr(t, k) for k in
+                  ("error_rates", "widths", "alpha", "fer", "ci_low", "ci_high")}
+        fields[name] = fields[name].copy()
+        fields[name][0, 0] = value
+        with pytest.raises(ValueError, match=f"{name} must lie"):
+            DistillationTable(working=t.working, **fields)
+
+    @pytest.mark.parametrize("i, rate", [(0, 0.0), (-1, 0.5), (-1, np.inf)])
+    def test_refuses_rate_at_or_past_the_bounds(self, i, rate):
+        t = synthetic_table()
+        rates = t.error_rates.copy()
+        rates[i] = rate
+        with pytest.raises(ValueError, match="error rates must lie"):
+            DistillationTable(rates, t.widths, t.alpha, t.fer, t.ci_low,
+                              t.ci_high, t.working)

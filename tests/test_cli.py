@@ -333,3 +333,51 @@ class TestSimulateLink:
              "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
         )
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "nan,512,0.5000,0.000000,0.000000,0.010000,1",
+            "0.700,512,0.5000,0.000000,0.000000,0.010000,1",
+            "0.010,-5,0.5000,0.000000,0.000000,0.010000,1",
+            "0.010,512,0.5000,1.500000,0.000000,1.000000,1",
+            "0.010,512,0.5000,0.500000,0.600000,0.700000,1",
+        ],
+        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer"],
+    )
+    def test_table_that_lies_is_parse_error(self, tmp_path, row):
+        table = tmp_path / "table.csv"
+        table.write_text(f"error_rate,width,alpha,fer,ci_low,ci_high,working\n{row}\n")
+        code = main(
+            ["simulate-link", "--table", str(table),
+             "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
+        )
+        assert code == 3
+        assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mean-photon-number", "nan"), ("--attenuation-db-per-km", "nan"),
+         ("--pulse-rate-hz", "inf")],
+    )
+    def test_non_finite_flag_is_usage_error(self, table_csv, tmp_path, flag, value):
+        out = tmp_path / "r.csv"
+        code = main(
+            ["simulate-link", "--table", str(table_csv), flag, value,
+             "--distances", "0:10:5", "--out", str(out)]
+        )
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ['{"mean_photon_number": NaN}',
+                                      '{"pulse_rate_hz": Infinity}'])
+    def test_non_finite_params_file_is_parse_error(self, table_csv, tmp_path, text):
+        pfile = tmp_path / "params.json"
+        pfile.write_text(text)
+        out = tmp_path / "r.csv"
+        code = main(
+            ["simulate-link", "--table", str(table_csv), "--params", str(pfile),
+             "--distances", "0:10:5", "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()

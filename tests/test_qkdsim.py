@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -30,6 +31,14 @@ class TestLinkParams:
             rl.LinkParams(sifting_factor=0.0)
         with pytest.raises(ValueError):
             rl.LinkParams(pulse_rate_hz=-1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name", [f.name for f in dataclasses.fields(rl.LinkParams)]
+    )
+    def test_refuses_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            rl.LinkParams(**{name: value})
 
 
 class TestLinkObservables:

@@ -4,9 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
+from raldpc.cli import main
 from raldpc.tanner import ACYCLIC, AlistParseError
 
-from _oracles import peg_reference
+from _oracles import girth_reference, peg_reference
 
 
 def small_matrix(cols, m):
@@ -142,6 +143,61 @@ class TestGoldenDigest:
         ]
 
 
+@st.composite
+def ragged_codes(draw):
+    """(matrix, widths) of a random code that PEG would not build.
+
+    Columns hold at most 2, 3 or 4 random checks, so 4-, 6- and 8-cycles
+    occur.  The first ``split`` columns keep only checks from distinct
+    connected components, so that prefix is a forest and any cycle comes
+    from a later column; ``split`` is among the widths whenever it is a
+    valid one.
+    """
+    m = draw(st.integers(2, 20))
+    n = draw(st.integers(m + 1, 2 * m + 8))
+    cap = draw(st.integers(2, 4))
+    split = draw(st.integers(0, n))
+    label = list(range(m))  # connected component of each check
+    cols = []
+    for j in range(n):
+        col = sorted(draw(st.sets(st.integers(0, m - 1), max_size=min(m, cap))))
+        if j < split:
+            seen = {}
+            for c in col:
+                seen.setdefault(label[c], c)
+            col = sorted(seen.values())
+            label = [label[col[0]] if x in seen else x for x in label]
+        cols.append(col)
+    widths = draw(st.sets(st.integers(m + 1, n), min_size=1, max_size=5))
+    if split > m:
+        widths.add(split)
+    return small_matrix(cols, m), sorted(widths)
+
+
+class TestGirthReference:
+    """``girth_profile`` equals the per-prefix CSR search of ``_oracles``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(code=ragged_codes())
+    # the only 4-cycle lives in the last column
+    @example(code=(small_matrix([[0, 2], [0, 1], [1, 2], [0], [0, 2]], m=3), [4, 5]))
+    # a forest up to width 4, then a 6-cycle through the last column
+    @example(code=(small_matrix([[0, 1], [1, 2], [], [], [0, 2]], m=3), [4, 5]))
+    def test_matches_reference(self, code):
+        matrix, widths = code
+        assert rl.girth_profile(matrix, widths) == [
+            (w, girth_reference(rl.MatrixPrefix(matrix, w))) for w in widths
+        ]
+
+    def test_matches_reference_on_peg_mother(self):
+        prof = rl.DegreeProfile.interleaved_4_5(400)
+        matrix = rl.peg_construct(40, 400, prof, 11)
+        widths = [50, 100, 200, 400]
+        assert rl.girth_profile(matrix, widths) == [
+            (w, girth_reference(rl.MatrixPrefix(matrix, w))) for w in widths
+        ]
+
+
 class TestGirth:
     def test_shared_check_pair_gives_four(self):
         # columns 0 and 1 both hit checks {0,1}
@@ -273,3 +329,64 @@ class TestAlist:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(AlistParseError):
             rl.load_alist(path)
+
+
+@st.composite
+def any_matrices(draw):
+    """Random small ParityMatrix with at least one edge: ragged columns,
+    degree-0 columns and checks with no edge all occur."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(m + 1, m + 12))
+    cols = [sorted(draw(st.sets(st.integers(0, m - 1)))) for _ in range(n)]
+    if not any(cols):
+        cols[draw(st.integers(0, n - 1))] = [draw(st.integers(0, m - 1))]
+    return small_matrix(cols, m)
+
+
+@st.composite
+def byte_edits(draw, data: bytes) -> bytes:
+    """``data`` with one byte replaced, deleted or inserted."""
+    kind = draw(st.sampled_from(["replace", "delete", "insert"]))
+    pos = draw(st.integers(0, len(data) - (kind != "insert")))
+    byte = bytes([draw(st.integers(0, 255))])
+    if kind == "insert":
+        return data[:pos] + byte + data[pos:]
+    return data[:pos] + (byte if kind == "replace" else b"") + data[pos + 1:]
+
+
+class TestAlistRoundTrip:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("alist") / "m.alist"
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=any_matrices())
+    def test_round_trip(self, path, matrix):
+        rl.save_alist(matrix, path)
+        assert rl.load_alist(path) == matrix
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix=any_matrices(), data=st.data())
+    def test_one_byte_edit_loads_same_or_is_refused(self, path, matrix, data):
+        rl.save_alist(matrix, path)
+        path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+        try:
+            loaded = rl.load_alist(path)
+        except ValueError:  # AlistParseError and UnicodeDecodeError included
+            return
+        assert loaded == matrix
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=any_matrices(), data=st.data())
+    def test_girth_profile_cli_on_edited_file(self, path, matrix, data):
+        rl.save_alist(matrix, path)
+        path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+        code = main(["girth-profile", "--matrix", str(path), "--widths",
+                     str(matrix.num_vars), "--out", str(path.with_suffix(".csv"))])
+        assert code in (0, 3)
+
+    def test_matrix_without_edges_is_refused(self, tmp_path):
+        empty = small_matrix([[], [], []], m=2)
+        with pytest.raises(ValueError, match="no edges"):
+            rl.save_alist(empty, tmp_path / "m.alist")
+        assert not (tmp_path / "m.alist").exists()
