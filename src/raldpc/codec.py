@@ -12,12 +12,28 @@ Message layout: the (frames, edges) float64 arrays of variable-to-check
 and check-to-variable messages stay in check-major edge order
 (``PrefixEdges.edge_check_cm``) for the whole decode, in buffers allocated
 once per block.  The check update is then a ``multiply.reduceat`` straight
-over the messages; the variable update reads them through ``inv_perm`` for
-an ``add.reduceat`` over ``var_indptr``, and new messages come back as
-posterior[edge_var_cm] minus the check message.  Every gather is
-``np.take(..., axis=1)``, whose output is C-contiguous; fancy indexing
-``x[:, idx]`` would return an F-ordered copy that is slow to write and slow
-for the ``reduceat`` after it.
+over the messages, and new messages come back as posterior[edge_var_cm]
+minus the check message.  Every gather is ``np.take(..., axis=1)``, whose
+output is C-contiguous; fancy indexing ``x[:, idx]`` would return an
+F-ordered copy that is slow to write and slow for the ``reduceat`` after
+it.
+
+Variable update: each column's check messages are summed slot by slot.
+Slot k of a ``PrefixEdges.var_slots`` table is every column's k-th edge,
+taken straight from the check messages, and short columns read one extra
+message column that is always 0.  The sum of a column's d messages x0 ..
+x(d-1) is x0 + S in a fixed order, where S sums x1 .. x(d-1) pairwise
+(``_pairwise_sum``): left to right below 8 terms, eight running sums over
+blocks of 8 up to 128 terms, and above that the two halves (split at a
+multiple of 8) recursively.  The order is this kernel's own; it is also
+the order in which numpy 2.4's ``add.reduceat`` sums a segment, so every
+posterior equals that of the segment-sum kernel this one replaced, bit
+for bit.  Zero padding is exact only in the left-to-right sum, where a
+trailing +0 changes no nonzero sum and the prior (never 0), added last,
+absorbs the sign of a zero one; in the pairwise sum it would move terms
+between the running sums.  So the columns of degree 1 to 8 share one
+padded table, and each degree above 8 has a table of its own.  A column
+that no check touches is in no table and keeps its prior.
 
 Frame blocks: a batch is decoded ``_FRAME_BLOCK`` frames at a time.  Each
 pass of an iteration streams one or two of the four message buffers, and a
@@ -160,6 +176,47 @@ def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     np.take(src, idx, axis=1, out=out, mode="clip")
 
 
+def _slot_sum(src: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Row sums of ``src[:, slots[k]]`` over k, x0 + S with S pairwise.
+
+    x0 is slot 0 and S is ``_pairwise_sum`` of the other slots: the order
+    in which ``add.reduceat`` sums a segment (module docstring).
+    """
+    out = np.take(src, slots[0], axis=1)
+    if len(slots) > 1:
+        out += _pairwise_sum(src, slots[1:])
+    return out
+
+
+def _pairwise_sum(src: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Sum of the terms ``src[:, slots[k]]``, in numpy's pairwise order.
+
+    Fewer than 8 terms: left to right.  8 to 128: eight running sums over
+    whole blocks of 8 terms, combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)),
+    then the leftover terms one by one.  More: the two halves, split at a
+    multiple of 8, summed recursively.
+    """
+    n = len(slots)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(src, slots[:half]) + _pairwise_sum(src, slots[half:])
+    term = np.empty((src.shape[0], slots.shape[1]))
+    if n < 8:
+        acc, rest = np.take(src, slots[0], axis=1), slots[1:]
+    else:
+        r = [np.take(src, k, axis=1) for k in slots[:8]]
+        whole = n - n % 8
+        for i in range(8, whole):
+            _gather(src, slots[i], term)
+            r[i % 8] += term
+        acc = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        rest = slots[whole:]
+    for k in rest:
+        _gather(src, k, term)
+        acc += term
+    return acc
+
+
 def _syndrome_mismatch(e, signed, neg, target, absent_miss) -> np.ndarray:
     """Per frame, the number of checks whose candidate syndrome bit misses.
 
@@ -221,7 +278,8 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
     # block: its posterior is the prior, whose sign is the received bit, and
     # its c2v is 0, so v2c leaves it as the prior.
     v2c_buf, t_buf, ext_buf = (np.empty((B, e.num_edges)) for _ in range(3))
-    c2v_buf = np.zeros((B, e.num_edges))
+    # one more column, always 0: the slot tables' padding reads it
+    c2v_buf = np.zeros((B, e.num_edges + 1))
     neg_buf = np.empty((B, e.num_edges), dtype=np.bool_)
     full_buf = np.ones((B, e.num_checks))
     active = np.arange(B)
@@ -229,7 +287,8 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
 
     for it in range(max_iterations + 1):
         n = active.size
-        v2c, t, c2v, ext = v2c_buf[:n], t_buf[:n], c2v_buf[:n], ext_buf[:n]
+        v2c, t, ext = v2c_buf[:n], t_buf[:n], ext_buf[:n]
+        c2v = c2v_buf[:n, :-1]
         full = full_buf[:n]
         if it:
             # check update: extrinsic tanh product, syndrome sign folded in;
@@ -248,9 +307,11 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
             np.arctanh(ext, out=c2v)
             np.clip(c2v, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=c2v)
 
-            # variable update; ext holds c2v in variable order
-            _gather(c2v, e.inv_perm, ext)
-            post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
+            # variable update: each column's check messages, slot by slot;
+            # a column no check touches keeps its prior
+            post = prior.copy()
+            for cols, slots in e.var_slots:
+                post[:, cols] += _slot_sum(c2v_buf[:n], slots)
             _gather(post, e.edge_var_cm, v2c)
 
         # v2c holds the posterior per check-major edge until c2v is subtracted

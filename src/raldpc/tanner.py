@@ -152,25 +152,31 @@ class PrefixEdges:
     ``edge_var`` with ``var_indptr`` as the CSR over variables.  check-major
     is the same edge list stably sorted by check, so it is sorted by (check,
     variable): ``edge_check_cm`` and ``edge_var_cm``, with ``check_indptr``
-    as the CSR over all checks.  The decoder keeps every edge message in
-    check-major order; ``inv_perm`` takes a check-major array to var-major
-    order for the variable-node sums.  ``check_first``/``present_checks``
-    give reduceat segment starts over the check-major order for the checks
-    that actually have edges inside the prefix.  At full width the check-major
-    CSR is ``_padded_adjacency``'s check table and ``load_alist``'s row check.
+    as the CSR over all checks.  ``check_first``/``present_checks`` give
+    reduceat segment starts over the check-major order for the checks that
+    actually have edges inside the prefix.
+
+    The decoder keeps every edge message in check-major order and sums a
+    variable's messages slot by slot: ``var_slots`` is a tuple of
+    (columns, slots) groups, where row k of the (degree, columns) table
+    ``slots`` holds the check-major position of each column's k-th edge.
+    ``columns`` is an index array, or ``slice(None)`` when the group is
+    every column.  Columns of degree 1 to 8 share one group, short columns
+    padded with ``num_edges`` (a message slot that is always 0); each degree
+    above 8 has a group of its own, since there the decoder's addition
+    order depends on the degree (``codec`` module docstring).  Columns of
+    degree 0 are in no group.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
-        end = matrix.col_indptr[width]
+        end = int(matrix.col_indptr[width])
         self.num_checks = matrix.num_checks
         self.width = width
         self.edge_check = matrix.col_indices[:end]
-        self.edge_var = np.repeat(
-            np.arange(width, dtype=np.int32), np.diff(matrix.col_indptr[: width + 1])
-        )
         self.var_indptr = matrix.col_indptr[: width + 1]
+        degs = np.diff(self.var_indptr)
+        self.edge_var = np.repeat(np.arange(width, dtype=np.int32), degs)
         perm = np.argsort(self.edge_check, kind="stable")
-        self.inv_perm = np.argsort(perm, kind="stable")
         self.edge_check_cm = self.edge_check[perm]
         self.edge_var_cm = self.edge_var[perm]
         counts = np.bincount(self.edge_check, minlength=self.num_checks)
@@ -178,6 +184,21 @@ class PrefixEdges:
         ends = np.cumsum(counts)
         self.check_first = (ends - counts)[self.present_checks].astype(np.int64)
         self.check_indptr = np.concatenate(([0], ends)).astype(np.int64)
+
+        cm_pos = np.empty(end, dtype=np.intp)  # check-major position of each edge
+        cm_pos[perm] = np.arange(end)
+        table = _pad_rows(degs, cm_pos, end)
+        high = sorted(set(degs[degs > 8].tolist()))  # np.unique imports numpy.ma
+        groups = [np.flatnonzero((degs > 0) & (degs <= 8))]
+        groups += [np.flatnonzero(degs == d) for d in high]
+        self.var_slots = tuple(
+            (
+                slice(None) if cols.size == width else cols,
+                np.ascontiguousarray(table[cols, : degs[cols].max()].T),
+            )
+            for cols in groups
+            if cols.size
+        )
 
     @property
     def num_edges(self) -> int:
@@ -296,24 +317,31 @@ def peg_construct(
     return ParityMatrix(m, n, col_indptr, col_indices)
 
 
+def _pad_rows(lens: np.ndarray, values: np.ndarray, pad: int) -> np.ndarray:
+    """(rows, max length) table of the CSR rows of ``values``, padded with ``pad``.
+
+    Row i holds the next ``lens[i]`` entries of ``values``, then ``pad``.
+    """
+    table = np.full((lens.size, int(lens.max())), pad, dtype=values.dtype)
+    table[np.arange(table.shape[1]) < lens[:, None]] = values
+    return table
+
+
 def _padded_adjacency(matrix: ParityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """(column table, check table) of the matrix, the layout PEG grows.
 
-    Each is an int32 (rows, max degree) array of CSR rows padded with a
-    sentinel: row j of the column table holds column j's checks then m,
-    row i of the check table holds check i's columns, increasing, then n.
+    Each is an int32 (rows, max degree) array padded with a sentinel: row j
+    of the column table holds column j's checks then m, row i of the check
+    table holds check i's columns, increasing, then n.
     """
-    e = PrefixEdges(matrix, matrix.num_vars)
-    tables = []
-    for indptr, indices, pad in (
-        (matrix.col_indptr, matrix.col_indices, matrix.num_checks),
-        (e.check_indptr, e.edge_var_cm, matrix.num_vars),
-    ):
-        lens = np.diff(indptr)
-        table = np.full((lens.size, int(lens.max())), pad, dtype=np.int32)
-        table[np.arange(table.shape[1]) < lens[:, None]] = indices
-        tables.append(table)
-    return tuple(tables)
+    m, n = matrix.num_checks, matrix.num_vars
+    col_degs = matrix.column_degrees()
+    edge_col = np.repeat(np.arange(n, dtype=np.int32), col_degs)
+    by_check = np.argsort(matrix.col_indices, kind="stable")
+    return (
+        _pad_rows(col_degs, matrix.col_indices, m),
+        _pad_rows(np.bincount(matrix.col_indices, minlength=m), edge_col[by_check], n),
+    )
 
 
 def girth_of_prefix(prefix: MatrixPrefix):
@@ -387,10 +415,11 @@ def save_alist(matrix: ParityMatrix, path) -> None:
 
 
 def _ints(line: str, lineno: int) -> list[int]:
-    try:
-        return [int(tok) for tok in line.split()]
-    except ValueError:
-        raise AlistParseError(f"line {lineno}: non-integer token") from None
+    toks = line.split()
+    # plain ASCII digits only: int() would also take "+1", "-0" and "0_2"
+    if not all(tok.isascii() and tok.isdigit() for tok in toks):
+        raise AlistParseError(f"line {lineno}: token is not a decimal number")
+    return [int(tok) for tok in toks]
 
 
 def load_alist(path) -> ParityMatrix:
@@ -421,6 +450,11 @@ def load_alist(path) -> ParityMatrix:
     row_deg = _ints(fourth, ln)
     if len(row_deg) != m:
         raise AlistParseError(f"line {ln}: expected {m} row degrees")
+    if maxes != [max(col_deg), max(row_deg)]:
+        raise AlistParseError(
+            f"line {lines[1][0]}: max degrees {maxes[0]} {maxes[1]} disagree with "
+            f"the declared degrees (max {max(col_deg)} {max(row_deg)})"
+        )
     if len(lines) != 4 + n + m:
         raise AlistParseError(
             f"line {lines[-1][0]}: expected {4 + n + m} content lines, got {len(lines)}"
@@ -442,8 +476,8 @@ def load_alist(path) -> ParityMatrix:
 
     col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
     matrix = ParityMatrix(m, n, col_indptr, np.concatenate(cols).astype(np.int32))
-    # validate the row section against the column section's check-major CSR
-    e = PrefixEdges(matrix, n)
+    # validate the row section against the column section's check table
+    _, check_adj = _padded_adjacency(matrix)
     for i in range(m):
         ln, text = lines[4 + n + i]
         ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
@@ -451,6 +485,7 @@ def load_alist(path) -> ParityMatrix:
             raise AlistParseError(
                 f"line {ln}: row {i} has {len(ents)} entries, declared {row_deg[i]}"
             )
-        if ents != e.edge_var_cm[e.check_indptr[i]:e.check_indptr[i + 1]].tolist():
+        row = check_adj[i]
+        if ents != row[row < n].tolist():
             raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
     return matrix

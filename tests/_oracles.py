@@ -292,6 +292,7 @@ def decode_batch_reference(
     unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
     """
     e = prefix.edges
+    inv_perm = np.argsort(np.argsort(e.edge_check, kind="stable"), kind="stable")
     B = noisy.shape[0]
     p = config.crossover_prior
     prior_mag = min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
@@ -336,7 +337,7 @@ def decode_batch_reference(
         np.clip(c2v, -_LLR_CLAMP, _LLR_CLAMP, out=c2v)
 
         # variable update and hard decision; ext holds c2v in variable order
-        _gather(c2v, e.inv_perm, ext)
+        _gather(c2v, inv_perm, ext)
         post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
         _gather(post, e.edge_var_cm, v2c)
         np.subtract(v2c, c2v, out=v2c)

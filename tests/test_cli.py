@@ -210,6 +210,27 @@ class TestReconcile:
         )
         assert code == 1
 
+    def test_trailing_empty_column_keeps_received_bit(self, tmp_path, capsys):
+        # 3x5 code whose last column no check touches
+        matrix = rl.ParityMatrix(3, 5, [0, 2, 4, 6, 9, 9], [0, 1, 1, 2, 0, 2, 0, 1, 2])
+        path = tmp_path / "m.alist"
+        rl.save_alist(matrix, path)
+        rng = np.random.default_rng(3)
+        key = rng.integers(0, 2, (6, 5), dtype=np.uint8)
+        noisy = key ^ (rng.random(key.shape) < 0.2).astype(np.uint8)
+        alice, bob = tmp_path / "alice.txt", tmp_path / "bob.txt"
+        rl.write_key_blocks(alice, key)
+        rl.write_key_blocks(bob, noisy)
+        out = tmp_path / "c.txt"
+        code = main(
+            ["reconcile", "--matrix", str(path), "--width", "5",
+             "--alice", str(alice), "--bob", str(bob), "--p", "0.1",
+             "--out", str(out)]
+        )
+        assert code in (0, 1)
+        assert "Traceback" not in capsys.readouterr().err
+        assert np.array_equal(rl.read_key_blocks(out)[:, 4], noisy[:, 4])
+
     def test_block_length_mismatch_is_parse_error(self, small_alist, tmp_path):
         alice, bob = tmp_path / "alice.txt", tmp_path / "bob.txt"
         rl.write_key_blocks(alice, np.zeros((1, 320), np.uint8))

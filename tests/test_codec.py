@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
-from raldpc.codec import _FRAME_BLOCK, DecoderConfig, _decode_batch
+from raldpc.codec import _FRAME_BLOCK, DecoderConfig, _decode_batch, _slot_sum
 
 from _oracles import (
     CosetOracle,
@@ -258,9 +258,7 @@ def decode_cases(draw):
     """A random small code, a prefix of it, and a batch of frames to decode.
 
     The code is a ragged PEG code whose checks are spread over up to three
-    more check rows, so some checks have no edge; some frames get target
-    1-bits on those checks, which no key can satisfy, so they run to
-    max_iterations.
+    more check rows, so some checks have no edge.
     """
     m = draw(st.integers(2, 16))
     spare = draw(st.integers(0, 3))
@@ -272,19 +270,67 @@ def decode_cases(draw):
     rows = np.sort(draw(st.permutations(range(m + spare)))[:m])
     matrix = rl.ParityMatrix(m + spare, n, peg.col_indptr, rows[peg.col_indices])
     prefix = rl.MatrixPrefix(matrix, draw(st.integers(m + spare + 1, n)))
+    return (prefix, *draw(frames(prefix)))
+
+
+@st.composite
+def frames(draw, prefix):
+    """(noisy, syn, cfg): a batch of frames for ``prefix`` and its decoder.
+
+    Frames get their own noise level around the prior's; some frames get
+    target 1-bits on checks with no edge in the prefix, which no key can
+    satisfy, so they run to max_iterations.
+    """
+    m = prefix.num_checks
     batch = draw(st.integers(0, 3 * _FRAME_BLOCK + 1))
     p = draw(st.floats(0.001, 0.2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keys = rng.integers(0, 2, (batch, prefix.width), dtype=np.uint8)
     syn = rl.encode_syndrome_batch(prefix, keys)
-    absent = np.setdiff1d(np.arange(m + spare), prefix.edges.present_checks)
+    absent = np.setdiff1d(np.arange(m), prefix.edges.present_checks)
     if absent.size:
         hostile = rng.random(batch) < 0.3
         syn[np.ix_(hostile, absent)] = rng.integers(0, 2, (hostile.sum(), absent.size))
     noise = rng.random(batch)[:, None] * 2 * p
     noisy = keys ^ (rng.random(keys.shape) < noise).astype(np.uint8)
     cfg = DecoderConfig(crossover_prior=p, max_iterations=draw(st.integers(1, 20)))
-    return prefix, noisy, syn, cfg
+    return noisy, syn, cfg
+
+
+def code_from_degrees(num_checks, degrees, rows, seed):
+    """ParityMatrix whose column j holds ``degrees[j]`` random checks.
+
+    The checks are drawn among ``rows`` (increasing), so any check left
+    out of ``rows`` has no edge.
+    """
+    rng = np.random.default_rng(seed)
+    rows = np.asarray(rows)
+    cols = [np.sort(rng.choice(rows, d, replace=False)) for d in degrees]
+    indptr = np.concatenate(([0], np.cumsum(degrees)))
+    indices = np.concatenate([np.asarray(c, dtype=np.int32) for c in cols] + [[]])
+    return rl.ParityMatrix(num_checks, len(degrees), indptr, indices)
+
+
+@st.composite
+def mixed_degree_cases(draw, min_degree=1):
+    """A code of random columns with degrees ``min_degree`` to 24 mixed.
+
+    Unlike PEG codes of degree 2 to 4, these columns reach the variable
+    update's pairwise summation (degree 9 and up); up to three checks have
+    no edge.
+    """
+    m = draw(st.integers(2, 40))
+    spare = draw(st.integers(0, 3))
+    n = draw(st.integers(m + spare + 1, 2 * m + 12))
+    top = draw(st.integers(max(min_degree, 1), min(m, 24)))
+    degs = draw(st.lists(st.integers(min_degree, top), min_size=n, max_size=n))
+    width = draw(st.integers(m + spare + 1, n))
+    if not any(degs[:width]):  # a prefix needs an edge
+        degs[draw(st.integers(0, width - 1))] = 1
+    rows = np.sort(draw(st.permutations(range(m + spare)))[:m])
+    matrix = code_from_degrees(m + spare, degs, rows, draw(st.integers(0, 2**32 - 1)))
+    prefix = rl.MatrixPrefix(matrix, width)
+    return (prefix, *draw(frames(prefix)))
 
 
 class TestDecodeReference:
@@ -298,6 +344,32 @@ class TestDecodeReference:
         want = decode_batch_reference(prefix, noisy, syn, cfg)
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_degree_cases())
+    def test_matches_reference_mixed_degrees(self, case):
+        prefix, noisy, syn, cfg = case
+        got = _decode_batch(prefix, noisy, syn, cfg)
+        want = decode_batch_reference(prefix, noisy, syn, cfg)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_matches_reference_at_very_high_degrees(self):
+        # above 129 edges a column's pairwise sum splits in two, at 258 twice
+        degs = np.full(320, 3)
+        degs[[5, 40, 41, 100, 200, 319]] = [130, 137, 200, 258, 9, 17]
+        prefix = rl.MatrixPrefix(code_from_degrees(300, degs, np.arange(300), 14), 320)
+        rng = np.random.default_rng(15)
+        batch = 2 * _FRAME_BLOCK + 1
+        keys = rng.integers(0, 2, (batch, 320), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        noisy = keys ^ (rng.random(keys.shape) < 0.1).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=0.1, max_iterations=12)
+        got = _decode_batch(prefix, noisy, syn, cfg)
+        want = decode_batch_reference(prefix, noisy, syn, cfg)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+        assert np.any(got[2] > 0)
 
     def test_absent_checks_never_converge(self):
         # check 2 touches no column; a target 1-bit there stays unsatisfied
@@ -319,6 +391,72 @@ class TestDecodeReference:
         hard, ok, iters, unsat = got
         assert not ok[::2].any() and np.all(iters[::2] == 7)
         assert np.all(unsat[::2] >= 1)
+
+
+class TestSlotSum:
+    """The variable update adds a column's messages in ``add.reduceat``'s
+    order, bit for bit, at every degree: left to right, pairwise, and the
+    pairwise sum split once (130 to 257 edges) or twice."""
+
+    DEGREES = [*range(1, 41), 127, 128, 129, 130, 136, 137, 200, 257, 258, 300, 513]
+
+    @pytest.mark.parametrize("rows", [1, 3, _FRAME_BLOCK])
+    def test_equals_add_reduceat(self, rows):
+        rng = np.random.default_rng(16)
+        for d in self.DEGREES:
+            # magnitudes over 26 decades make any change of order show
+            scale = np.exp(rng.uniform(-30, 30, (rows, 3 * d)))
+            x = rng.standard_normal((rows, 3 * d)) * scale
+            slots = np.arange(3 * d).reshape(3, d).T.copy()
+            want = np.add.reduceat(x, [0, d, 2 * d], axis=1)
+            assert np.array_equal(_slot_sum(x, slots), want), d
+
+
+def zero_columns_first(prefix):
+    """(prefix, order): the prefix's code with its degree-0 columns first.
+
+    Column k of the new code is column ``order[k]`` of the old one.  The
+    other columns keep their relative order, so every edge keeps its place
+    in check-major order and the decoder does the same arithmetic on them.
+    """
+    deg = prefix.matrix.column_degrees()[: prefix.width]
+    order = np.argsort(deg > 0, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(deg[order])))
+    indices = np.concatenate([prefix.matrix.column(j) for j in order])
+    matrix = rl.ParityMatrix(prefix.num_checks, prefix.width, indptr, indices)
+    return rl.MatrixPrefix(matrix, prefix.width), order
+
+
+class TestDegreeZeroColumns:
+    """A column that no check touches keeps its received bit, and changes
+    nothing else, wherever it sits in the prefix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=mixed_degree_cases(min_degree=0))
+    def test_keeps_received_bit_and_matches_reference(self, case):
+        prefix, noisy, syn, cfg = case
+        hard, ok, iters, unsat = _decode_batch(prefix, noisy, syn, cfg)
+        zero = prefix.matrix.column_degrees()[: prefix.width] == 0
+        assert np.array_equal(hard[:, zero], noisy[:, zero])
+        # the reference hands a degree-0 column a neighbour's message, and
+        # fails on a trailing one, so it decodes them first and is not asked
+        # for their bits
+        moved, order = zero_columns_first(prefix)
+        want = decode_batch_reference(moved, noisy[:, order], syn, cfg)
+        assert np.array_equal(hard[:, order][:, ~zero[order]], want[0][:, ~zero[order]])
+        for g, w in zip((ok, iters, unsat), want[1:]):
+            assert np.array_equal(g, w)
+
+    def test_trailing_column_keeps_received_bit(self):
+        # column 4 of this 3x5 code touches no check
+        bare = rl.ParityMatrix(3, 5, [0, 2, 4, 6, 9, 9], [0, 1, 1, 2, 0, 2, 0, 1, 2])
+        prefix = rl.MatrixPrefix(bare, 5)
+        noisy = np.array([[0, 0, 0, 0, 1], [1, 0, 0, 0, 0], [1, 1, 0, 1, 1]], np.uint8)
+        syn = np.zeros((3, 3), np.uint8)
+        hard, ok, iters, unsat = _decode_batch(prefix, noisy, syn, CFG)
+        assert np.array_equal(hard[:, 4], noisy[:, 4])
+        assert ok[0] and iters[0] == 0
+        assert np.array_equal(rl.encode_syndrome_batch(prefix, hard)[ok], syn[ok])
 
 
 class TestDecoderConfig:

@@ -330,6 +330,33 @@ class TestAlist:
         with pytest.raises(AlistParseError):
             rl.load_alist(path)
 
+    @pytest.mark.parametrize(
+        "lineno, text",
+        [
+            (2, "7 9"),  # max degrees disagree with the declared degrees
+            (2, "2 2"),
+            (1, "+3 2"),  # tokens that are not plain ASCII digits
+            (3, "2 2 +2"),
+            (5, "+1 2"),
+            (6, "0_1 2"),
+            (8, "1 2 3 -0"),
+        ],
+    )
+    def test_rejects_what_save_alist_never_writes(self, tmp_path, lineno, text):
+        m = small_matrix([[0, 1], [0, 1], [0, 1]], m=2)
+        path = tmp_path / "m.alist"
+        rl.save_alist(m, path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(AlistParseError, match=f"line {lineno}"):
+            rl.load_alist(path)
+        assert main(["girth-profile", "--matrix", str(path), "--widths", "3"]) == 3
+        keys = str(tmp_path / "keys.txt")  # never read: the matrix is refused first
+        code = main(["reconcile", "--matrix", str(path), "--width", "3", "--alice", keys,
+                     "--bob", keys, "--p", "0.1", "--out", str(tmp_path / "c.txt")])
+        assert code == 3
+
 
 @st.composite
 def any_matrices(draw):
@@ -352,6 +379,47 @@ def byte_edits(draw, data: bytes) -> bytes:
     if kind == "insert":
         return data[:pos] + byte + data[pos:]
     return data[:pos] + (byte if kind == "replace" else b"") + data[pos + 1:]
+
+
+def check_slot_tables(matrix, width):
+    """Every column of degree > 0 is in one ``var_slots`` group, whose
+    table lists the check-major positions of its edges in column order."""
+    e = rl.MatrixPrefix(matrix, width).edges
+    degs = np.diff(e.var_indptr)
+    seen = []
+    for cols, slots in e.var_slots:
+        cols = np.arange(e.width)[cols]
+        assert slots.shape == (degs[cols].max(), cols.size)
+        assert degs[cols].max() <= 8 or np.all(degs[cols] == degs[cols][0])
+        for j, col_slots in zip(cols, slots.T):
+            edges = col_slots[: degs[j]]
+            assert np.all(e.edge_var_cm[edges] == j)
+            assert np.array_equal(e.edge_check_cm[edges], matrix.column(j))
+            assert np.all(col_slots[degs[j]:] == e.num_edges)
+        seen.extend(cols)
+    assert sorted(seen) == np.flatnonzero(degs).tolist()
+    return e.var_slots
+
+
+class TestPrefixEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=any_matrices(), data=st.data())
+    def test_slot_tables(self, matrix, data):
+        width = data.draw(st.integers(matrix.num_checks + 1, matrix.num_vars))
+        check_slot_tables(matrix, width)
+
+    def test_each_degree_above_eight_has_its_own_group(self):
+        degs = [9, 3, 12, 9, 0, 20, 1, 8, 12, 5] + [2] * 11
+        matrix = small_matrix([list(range(d)) for d in degs], m=20)
+        groups = check_slot_tables(matrix, 21)
+        assert [cols.tolist() for cols, _ in groups] == [
+            [1, 6, 7, 9, *range(10, 21)], [0, 3], [2, 8], [5]
+        ]
+
+    def test_one_group_of_every_column_below_degree_nine(self):
+        matrix = rl.peg_construct(12, 30, rl.DegreeProfile.interleaved_4_5(30), seed=2)
+        (cols, slots), = check_slot_tables(matrix, 30)
+        assert cols == slice(None) and slots.shape == (5, 30)
 
 
 class TestAlistRoundTrip:
