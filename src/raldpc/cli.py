@@ -200,17 +200,9 @@ def _cmd_simulate_link(args) -> int:
     else:
         params = LinkParams()
     overrides = {
-        name: getattr(args, name)
-        for name in (
-            "attenuation_db_per_km",
-            "pulse_rate_hz",
-            "detector_efficiency",
-            "dark_count_prob",
-            "visibility",
-            "mean_photon_number",
-            "sifting_factor",
-        )
-        if getattr(args, name) is not None
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(LinkParams)
+        if getattr(args, f.name) is not None
     }
     if overrides:
         params = dataclasses.replace(params, **overrides)
@@ -279,13 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("simulate-link", help="sweep the QKD link model")
     g.add_argument("--table", required=True)
     g.add_argument("--params", help="JSON file of link parameters")
-    g.add_argument("--attenuation-db-per-km", type=float, dest="attenuation_db_per_km")
-    g.add_argument("--pulse-rate-hz", type=float, dest="pulse_rate_hz")
-    g.add_argument("--detector-efficiency", type=float, dest="detector_efficiency")
-    g.add_argument("--dark-count-prob", type=float, dest="dark_count_prob")
-    g.add_argument("--visibility", type=float)
-    g.add_argument("--mean-photon-number", type=float, dest="mean_photon_number")
-    g.add_argument("--sifting-factor", type=float, dest="sifting_factor")
+    for f in dataclasses.fields(LinkParams):
+        g.add_argument("--" + f.name.replace("_", "-"), type=float, dest=f.name)
     g.add_argument("--distances", default="0:110:5", help="from:to:step in km")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_simulate_link)

@@ -10,13 +10,14 @@ characterization affordable in pure numpy.
 
 Message layout: the (frames, edges) float64 arrays of variable-to-check
 and check-to-variable messages stay in check-major edge order
-(``PrefixEdges.edge_check_cm``) for the whole decode, in buffers allocated
-once per block.  The check update is then a ``multiply.reduceat`` straight
-over the messages, and new messages come back as posterior[edge_var_cm]
-minus the check message.  Every gather is ``np.take(..., axis=1)``, whose
-output is C-contiguous; fancy indexing ``x[:, idx]`` would return an
-F-ordered copy that is slow to write and slow for the ``reduceat`` after
-it.
+(``PrefixEdges``) for the whole decode, in buffers allocated once per
+block.  The check update is then a ``multiply.reduceat`` straight over the
+messages, one product per check with an edge in the prefix, signed by its
+target bit and gathered back to the edges through ``edge_seg``; new
+messages come back as posterior[edge_var_cm] minus the check message.
+Every gather is ``np.take(..., axis=1)`` with an intp index, whose output
+is C-contiguous; fancy indexing ``x[:, idx]`` would return an F-ordered
+copy that is slow to write and slow for the ``reduceat`` after it.
 
 Variable update: each column's check messages are summed slot by slot.
 Slot k of a ``PrefixEdges.var_slots`` table is every column's k-th edge,
@@ -133,7 +134,7 @@ def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
     if keys.ndim != 2 or keys.shape[1] != prefix.width:
         raise ValueError(f"keys must have shape (B, {prefix.width})")
     bits = np.take(keys, e.edge_var_cm, axis=1)
-    out = np.zeros((keys.shape[0], e.num_checks), dtype=np.uint8)
+    out = np.zeros((keys.shape[0], prefix.num_checks), dtype=np.uint8)
     out[:, e.present_checks] = np.bitwise_xor.reduceat(bits, e.check_first, axis=1) & 1
     return out
 
@@ -271,7 +272,7 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
     unsat = np.zeros(B, dtype=np.int64)
     present = target[:, e.present_checks]
     absent_miss = np.count_nonzero(target, axis=1) - np.count_nonzero(present, axis=1)
-    sgn_syn = 1.0 - 2.0 * target.astype(np.float64)
+    sgn_syn = 1.0 - 2.0 * present.astype(np.float64)
     prior = post = half_prior * (1.0 - 2.0 * hard.astype(np.float64))
     # check-major edge messages, reused across iterations; the first n rows
     # hold the n frames still active.  Iteration 0 only checks the received
@@ -281,7 +282,6 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
     # one more column, always 0: the slot tables' padding reads it
     c2v_buf = np.zeros((B, e.num_edges + 1))
     neg_buf = np.empty((B, e.num_edges), dtype=np.bool_)
-    full_buf = np.ones((B, e.num_checks))
     active = np.arange(B)
     _gather(prior, e.edge_var_cm, v2c_buf)
 
@@ -289,7 +289,6 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
         n = active.size
         v2c, t, ext = v2c_buf[:n], t_buf[:n], ext_buf[:n]
         c2v = c2v_buf[:n, :-1]
-        full = full_buf[:n]
         if it:
             # check update: extrinsic tanh product, syndrome sign folded in;
             # tanh(v2c) of a half-LLR message is tanh(LLR / 2)
@@ -297,11 +296,9 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
             np.abs(t, out=ext)
             np.maximum(ext, _TANH_FLOOR, out=ext)
             np.copysign(ext, t, out=t)
-            # only present checks are refreshed here and gathered below, so
-            # the other entries of the reused buffer never matter
-            full[:, e.present_checks] = np.multiply.reduceat(t, e.check_first, axis=1)
-            np.multiply(full, sgn_syn, out=full)
-            _gather(full, e.edge_check_cm, ext)
+            prod = np.multiply.reduceat(t, e.check_first, axis=1)
+            prod *= sgn_syn
+            _gather(prod, e.edge_seg, ext)
             np.divide(ext, t, out=ext)
             np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
             np.arctanh(ext, out=c2v)

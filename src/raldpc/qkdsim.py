@@ -104,9 +104,6 @@ class SimReport:
     def ratios(self) -> np.ndarray:
         return np.asarray([r.secure_ratio for r in self.rows])
 
-    def distances(self) -> np.ndarray:
-        return np.asarray([r.distance_km for r in self.rows])
-
 
 def simulate_link(
     params: LinkParams, table: DistillationTable, distances

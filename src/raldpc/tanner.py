@@ -115,8 +115,8 @@ class MatrixPrefix:
     """The first ``width`` columns of a mother matrix (the effective matrix).
 
     Width must exceed the check count, otherwise the code rate would be <= 0.
-    Edge arrays used by the codec and girth machinery are built lazily and
-    cached; a prefix is immutable and safe to share between threads.
+    The decoder's edge layout (``edges``) is built lazily and cached; a
+    prefix is immutable and safe to share between threads.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
@@ -146,44 +146,38 @@ class MatrixPrefix:
 
 
 class PrefixEdges:
-    """Flat edge arrays of a prefix, in variable-major and check-major order.
+    """The decoder's edge layout of a prefix: edges in check-major order.
 
-    var-major: edges sorted by (variable, check), as ``edge_check`` and
-    ``edge_var`` with ``var_indptr`` as the CSR over variables.  check-major
-    is the same edge list stably sorted by check, so it is sorted by (check,
-    variable): ``edge_check_cm`` and ``edge_var_cm``, with ``check_indptr``
-    as the CSR over all checks.  ``check_first``/``present_checks`` give
-    reduceat segment starts over the check-major order for the checks that
-    actually have edges inside the prefix.
+    Check-major order sorts the prefix's edges by (check, variable).
+    ``edge_var_cm`` is each edge's variable.  ``present_checks`` lists the
+    checks with an edge in the prefix, ``check_first`` is where each one's
+    edges start (the ``reduceat`` segment starts) and ``edge_seg`` is, per
+    edge, the position of its check in ``present_checks``.
 
-    The decoder keeps every edge message in check-major order and sums a
-    variable's messages slot by slot: ``var_slots`` is a tuple of
-    (columns, slots) groups, where row k of the (degree, columns) table
-    ``slots`` holds the check-major position of each column's k-th edge.
-    ``columns`` is an index array, or ``slice(None)`` when the group is
-    every column.  Columns of degree 1 to 8 share one group, short columns
-    padded with ``num_edges`` (a message slot that is always 0); each degree
-    above 8 has a group of its own, since there the decoder's addition
-    order depends on the degree (``codec`` module docstring).  Columns of
-    degree 0 are in no group.
+    The decoder sums a variable's messages slot by slot: ``var_slots`` is a
+    tuple of (columns, slots) groups, where row k of the (degree, columns)
+    table ``slots`` holds the check-major position of each column's k-th
+    edge.  ``columns`` is an index array, or ``slice(None)`` when the group
+    is every column.  Columns of degree 1 to 8 share one group, short
+    columns padded with ``num_edges`` (a message slot that is always 0);
+    each degree above 8 has a group of its own, since there the decoder's
+    addition order depends on the degree (``codec`` module docstring).
+    Columns of degree 0 are in no group.  Every index array is intp, so
+    ``np.take`` uses it without a conversion.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
         end = int(matrix.col_indptr[width])
-        self.num_checks = matrix.num_checks
-        self.width = width
-        self.edge_check = matrix.col_indices[:end]
-        self.var_indptr = matrix.col_indptr[: width + 1]
-        degs = np.diff(self.var_indptr)
-        self.edge_var = np.repeat(np.arange(width, dtype=np.int32), degs)
-        perm = np.argsort(self.edge_check, kind="stable")
-        self.edge_check_cm = self.edge_check[perm]
-        self.edge_var_cm = self.edge_var[perm]
-        counts = np.bincount(self.edge_check, minlength=self.num_checks)
-        self.present_checks = np.flatnonzero(counts).astype(np.int32)
-        ends = np.cumsum(counts)
-        self.check_first = (ends - counts)[self.present_checks].astype(np.int64)
-        self.check_indptr = np.concatenate(([0], ends)).astype(np.int64)
+        edge_check = matrix.col_indices[:end]
+        degs = np.diff(matrix.col_indptr[: width + 1])
+        perm = np.argsort(edge_check, kind="stable")
+        self.num_edges = end
+        self.edge_var_cm = np.repeat(np.arange(width), degs)[perm]
+        counts = np.bincount(edge_check)
+        self.present_checks = np.flatnonzero(counts)
+        counts = counts[self.present_checks]
+        self.check_first = np.cumsum(counts) - counts
+        self.edge_seg = np.repeat(np.arange(counts.size), counts)
 
         cm_pos = np.empty(end, dtype=np.intp)  # check-major position of each edge
         cm_pos[perm] = np.arange(end)
@@ -199,10 +193,6 @@ class PrefixEdges:
             for cols in groups
             if cols.size
         )
-
-    @property
-    def num_edges(self) -> int:
-        return int(self.edge_check.size)
 
 
 def peg_construct(

@@ -16,11 +16,22 @@ from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
 from raldpc.tanner import ACYCLIC, MatrixPrefix
 
 
+def prefix_columns(prefix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(col_indptr, col_indices, edge_var): the prefix's column CSR, variable-major.
+
+    ``edge_var`` is the column of each edge of ``col_indices``.
+    """
+    col_indptr = prefix.matrix.col_indptr[: prefix.width + 1]
+    col_indices = prefix.matrix.col_indices[: col_indptr[-1]]
+    edge_var = np.repeat(np.arange(prefix.width), np.diff(col_indptr))
+    return col_indptr, col_indices, edge_var
+
+
 def dense_parity(prefix) -> np.ndarray:
     """(m, width) dense 0/1 matrix of a prefix."""
-    e = prefix.edges
-    H = np.zeros((e.num_checks, e.width), dtype=np.uint8)
-    H[e.edge_check, e.edge_var] = 1
+    _, edge_check, edge_var = prefix_columns(prefix)
+    H = np.zeros((prefix.num_checks, prefix.width), dtype=np.uint8)
+    H[edge_check, edge_var] = 1
     return H
 
 
@@ -216,11 +227,10 @@ def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
     through a root is found from it, so with ``best`` the girth of the first
     ``first_root`` columns the result is the girth of the whole prefix.
     """
-    e = prefix.edges
-    m, w = e.num_checks, e.width
-    col_indptr = e.var_indptr
-    col_indices = e.edge_check
-    row_indptr, row_indices = e.check_indptr, e.edge_var_cm
+    m, w = prefix.num_checks, prefix.width
+    col_indptr, col_indices, _ = prefix_columns(prefix)
+    row_indptr = np.concatenate(([0], np.cumsum(np.bincount(col_indices, minlength=m))))
+    row_indices = prefix.edges.edge_var_cm
 
     visit_c = np.full(m, -1, dtype=np.int64)
     visit_v = np.full(w, -1, dtype=np.int64)
@@ -279,6 +289,7 @@ def decode_batch_reference(
     noisy: np.ndarray,
     target: np.ndarray,
     config: DecoderConfig,
+    messages: list | None = None,
 ):
     """Decode a batch of independent frames with one flooding schedule.
 
@@ -290,9 +301,13 @@ def decode_batch_reference(
 
     Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
     unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
+    When ``messages`` is a list, each iteration appends to it a copy of its
+    (active frames, edges) check-to-variable messages, in check-major order.
     """
     e = prefix.edges
-    inv_perm = np.argsort(np.argsort(e.edge_check, kind="stable"), kind="stable")
+    var_indptr, edge_check, _ = prefix_columns(prefix)
+    edge_check_cm = np.sort(edge_check, kind="stable")
+    inv_perm = np.argsort(np.argsort(edge_check, kind="stable"), kind="stable")
     B = noisy.shape[0]
     p = config.crossover_prior
     prior_mag = min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
@@ -311,7 +326,7 @@ def decode_batch_reference(
     v2c_buf, t_buf, c2v_buf, ext_buf = (
         np.empty((active.size, e.num_edges)) for _ in range(4)
     )
-    full_buf = np.ones((active.size, e.num_checks))
+    full_buf = np.ones((active.size, prefix.num_checks))
     _gather(prior, e.edge_var_cm, v2c_buf)
 
     for it in range(1, config.max_iterations + 1):
@@ -329,16 +344,18 @@ def decode_batch_reference(
         # other entries of the reused buffer never matter
         full[:, e.present_checks] = np.multiply.reduceat(t, e.check_first, axis=1)
         np.multiply(full, sgn_syn, out=full)
-        _gather(full, e.edge_check_cm, ext)
+        _gather(full, edge_check_cm, ext)
         np.divide(ext, t, out=ext)
         np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
         np.arctanh(ext, out=c2v)
         np.multiply(c2v, 2.0, out=c2v)
         np.clip(c2v, -_LLR_CLAMP, _LLR_CLAMP, out=c2v)
+        if messages is not None:
+            messages.append(c2v.copy())
 
         # variable update and hard decision; ext holds c2v in variable order
         _gather(c2v, inv_perm, ext)
-        post = prior + np.add.reduceat(ext, e.var_indptr[:-1], axis=1)
+        post = prior + np.add.reduceat(ext, var_indptr[:-1], axis=1)
         _gather(post, e.edge_var_cm, v2c)
         np.subtract(v2c, c2v, out=v2c)
         np.clip(v2c, -_LLR_CLAMP, _LLR_CLAMP, out=v2c)

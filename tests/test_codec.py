@@ -2,11 +2,17 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
-from raldpc.codec import _FRAME_BLOCK, DecoderConfig, _decode_batch, _slot_sum
+from raldpc.codec import (
+    _FRAME_BLOCK,
+    _LLR_CLAMP,
+    DecoderConfig,
+    _decode_batch,
+    _slot_sum,
+)
 
 from _oracles import (
     CosetOracle,
@@ -312,17 +318,17 @@ def code_from_degrees(num_checks, degrees, rows, seed):
 
 
 @st.composite
-def mixed_degree_cases(draw, min_degree=1):
-    """A code of random columns with degrees ``min_degree`` to 24 mixed.
+def mixed_degree_cases(draw, min_degree=1, max_degree=24):
+    """A code of random columns with degrees ``min_degree`` to ``max_degree``.
 
     Unlike PEG codes of degree 2 to 4, these columns reach the variable
-    update's pairwise summation (degree 9 and up); up to three checks have
-    no edge.
+    update's pairwise summation (degree 9 and up) unless ``max_degree`` is
+    below 9; up to three checks have no edge.
     """
     m = draw(st.integers(2, 40))
     spare = draw(st.integers(0, 3))
     n = draw(st.integers(m + spare + 1, 2 * m + 12))
-    top = draw(st.integers(max(min_degree, 1), min(m, 24)))
+    top = draw(st.integers(max(min_degree, 1), min(m, max_degree)))
     degs = draw(st.lists(st.integers(min_degree, top), min_size=n, max_size=n))
     width = draw(st.integers(m + spare + 1, n))
     if not any(degs[:width]):  # a prefix needs an edge
@@ -391,6 +397,68 @@ class TestDecodeReference:
         hard, ok, iters, unsat = got
         assert not ok[::2].any() and np.all(iters[::2] == 7)
         assert np.all(unsat[::2] >= 1)
+
+
+def check_messages(prefix, noisy, syn, cfg):
+    """(kernel, reference): every iteration's check messages of both decoders.
+
+    The kernel's are the half-LLR ``c2v`` buffers its variable update reads,
+    recorded by a wrapper around ``codec._slot_sum``; with every column of
+    degree 1 to 8 there is one call per iteration.  A batch of at most
+    ``_FRAME_BLOCK`` frames is one block, so the rows match the reference's.
+    """
+    assert len(prefix.edges.var_slots) == 1 and noisy.shape[0] <= _FRAME_BLOCK
+    got, want = [], []
+
+    def recording(src, slots):
+        got.append(src.copy())
+        return _slot_sum(src, slots)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("raldpc.codec._slot_sum", recording)
+        kernel = _decode_batch(prefix, noisy, syn, cfg)
+    reference = decode_batch_reference(prefix, noisy, syn, cfg, messages=want)
+    for g, w in zip(kernel, reference):
+        assert np.array_equal(g, w)
+    return got, want
+
+
+class TestCheckMessages:
+    """Every check message of the kernel, doubled, equals the reference's
+    full-LLR message bit for bit, at every iteration."""
+
+    @staticmethod
+    def assert_same_messages(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            # the extra column is the slot tables' zero padding
+            assert not g[:, -1].any()
+            assert np.array_equal(2.0 * g[:, :-1], w)
+
+    @settings(max_examples=250, deadline=None)
+    @given(case=st.one_of(decode_cases(), mixed_degree_cases(max_degree=8)))
+    def test_matches_reference(self, case):
+        prefix, noisy, syn, cfg = case
+        assume(noisy.shape[0] > 0)  # an empty batch has no messages
+        self.assert_same_messages(
+            *check_messages(prefix, noisy[:_FRAME_BLOCK], syn[:_FRAME_BLOCK], cfg)
+        )
+
+    def test_saturated_messages(self):
+        # check 0 touches no column: frames with a target 1-bit there never
+        # converge, and their messages run into the clamps
+        degs = np.resize([3, 4, 2, 5], 40)
+        prefix = rl.MatrixPrefix(code_from_degrees(20, degs, np.arange(1, 20), 17), 40)
+        rng = np.random.default_rng(18)
+        keys = rng.integers(0, 2, (_FRAME_BLOCK, 40), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        syn[::2, 0] = 1
+        noisy = keys ^ (rng.random(keys.shape) < 0.05).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=0.05, max_iterations=40)
+        got, want = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want)
+        assert len(want) == 40
+        assert np.abs(want[-1]).max() > 0.9 * _LLR_CLAMP
 
 
 class TestSlotSum:

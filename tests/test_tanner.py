@@ -383,21 +383,32 @@ def byte_edits(draw, data: bytes) -> bytes:
 
 def check_slot_tables(matrix, width):
     """Every column of degree > 0 is in one ``var_slots`` group, whose
-    table lists the check-major positions of its edges in column order."""
+    table lists the check-major positions of its edges in column order;
+    ``edge_seg`` points each check-major edge at its check's place in
+    ``present_checks``; and every index array the decoder gathers with is
+    intp."""
     e = rl.MatrixPrefix(matrix, width).edges
-    degs = np.diff(e.var_indptr)
+    degs = matrix.column_degrees()[:width]
+    edge_check_cm = np.sort(matrix.col_indices[: matrix.col_indptr[width]])
+    assert e.num_edges == edge_check_cm.size
+    assert np.array_equal(e.present_checks, np.unique(edge_check_cm))
+    assert np.array_equal(e.present_checks[e.edge_seg], edge_check_cm)
+    assert np.array_equal(e.edge_seg[e.check_first], np.arange(e.present_checks.size))
     seen = []
     for cols, slots in e.var_slots:
-        cols = np.arange(e.width)[cols]
+        cols = np.arange(width)[cols]
         assert slots.shape == (degs[cols].max(), cols.size)
         assert degs[cols].max() <= 8 or np.all(degs[cols] == degs[cols][0])
+        assert slots.dtype == np.intp
         for j, col_slots in zip(cols, slots.T):
             edges = col_slots[: degs[j]]
             assert np.all(e.edge_var_cm[edges] == j)
-            assert np.array_equal(e.edge_check_cm[edges], matrix.column(j))
+            assert np.array_equal(edge_check_cm[edges], matrix.column(j))
             assert np.all(col_slots[degs[j]:] == e.num_edges)
         seen.extend(cols)
     assert sorted(seen) == np.flatnonzero(degs).tolist()
+    for idx in (e.edge_var_cm, e.present_checks, e.check_first, e.edge_seg):
+        assert idx.dtype == np.intp
     return e.var_slots
 
 
