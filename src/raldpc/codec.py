@@ -287,6 +287,8 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
 
     for it in range(max_iterations + 1):
         n = active.size
+        if n == 0:  # every frame converged, or the batch is empty
+            break
         v2c, t, ext = v2c_buf[:n], t_buf[:n], ext_buf[:n]
         c2v = c2v_buf[:n, :-1]
         if it:
@@ -323,8 +325,6 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
             iters[rows] = it
             keep = ~done
             active = active[keep]
-            if active.size == 0:
-                break
             prior, sgn_syn = prior[keep], sgn_syn[keep]
             present, absent_miss = present[keep], absent_miss[keep]
             v2c_buf[: active.size] = v2c[keep]

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 ACYCLIC = float("inf")  # sentinel girth for cycle-free prefixes
-# a PEG BFS level goes bottom-up when the unreached side's adjacency entries
-# number fewer than this many times the frontier's
-_BOTTOM_UP = 2
 
 
 class AlistParseError(ValueError):
@@ -207,17 +204,18 @@ def peg_construct(
     then by a seed-derived permutation of the check indices, so the result
     is deterministic for fixed inputs.
 
-    Layout: ``var_adj`` (n, max degree) and ``check_adj`` (m, cap) are
-    padded with the sentinels m and n, and the per-node BFS depth arrays
-    have one extra entry for that sentinel which reads as reached and lies
-    on no level, so a level needs no row-length mask.  Each BFS level is
-    found top-down (neighbours of the frontier, unreached ones kept,
-    duplicates dropped by a stamp array) or, when the unreached side has
-    fewer than ``_BOTTOM_UP`` times as many adjacency entries as the
-    frontier, bottom-up (unreached nodes with a neighbour on the frontier).
-    Both give the same set, and the tie-break key is unique per check, so
-    the order of a level never matters.  The search stops as soon as every
-    check is reached.
+    The BFS walks check levels only, over bitsets of ceil(m / 64)
+    little-endian uint64 words per check: bit c' of row c of ``near`` is
+    set when a column placed so far joins both c and c', and ``eye`` holds
+    each check's own bit.  The two (m, ceil(m / 64)) tables take m^2 / 4
+    bytes (256 KB at m = 1024, 4 MB at 4096).  A level is the OR of the
+    frontier's ``near`` rows, less the checks already reached.  That is
+    the BFS's next check level as a set: a variable reached on an earlier
+    level has all its checks reached by now, so stepping through it adds
+    nothing.  The tie-break key is unique per check, so the order of a
+    level never matters.  The search stops when a level is empty (the
+    candidates are the unreached checks) or when every check is reached
+    (the candidates are the last level).
     """
     m, n = int(num_checks), int(num_vars)
     if len(profile) != n:
@@ -233,72 +231,40 @@ def peg_construct(
     rank[rng.permutation(m)] = np.arange(m)
     all_checks = np.arange(m)
 
-    max_col_deg = int(degs.max())
-    var_adj = np.full((n, max_col_deg), m, dtype=np.int32)
-    cap = 8
-    check_adj = np.full((m, cap), n, dtype=np.int32)
+    var_adj = np.full((n, int(degs.max())), m, dtype=np.int32)
     check_cnt = np.zeros(m, dtype=np.int64)
+    eye = np.zeros((m, (m + 63) >> 6), dtype="<u8")
+    # bit c of row c: byte c >> 3 of the little-endian words, bit c & 7
+    eye.view(np.uint8)[all_checks, all_checks >> 3] = 1 << (all_checks & 7)
+    near = np.zeros_like(eye)
+    every = np.bitwise_or.reduce(eye, axis=0)
 
-    # BFS depth per node, -1 while unreached; the last entry belongs to the
-    # padding sentinel, which is never -1 and never equals a level
-    depth_c = np.empty(m + 1, dtype=np.int32)
-    depth_v = np.empty(n + 1, dtype=np.int32)
-    depth_c[m] = depth_v[n] = np.iinfo(np.int32).max
-    stamp = np.empty(n, dtype=np.int64)
+    def members(bits: np.ndarray) -> np.ndarray:
+        return np.unpackbits(bits.view(np.uint8), bitorder="little").nonzero()[0]
 
-    def bfs_candidates(j: int, e: int) -> np.ndarray:
-        """Checks eligible for edge e > 0 of variable j (PEG rule)."""
-        depth_c[:m] = -1
-        depth_v[:j] = -1  # only variables 0..j have edges yet
-        depth_v[j] = 0
-        frontier = var_adj[j, :e]
-        depth_c[frontier] = 1
-        last = frontier
-        reached_c, reached_v = frontier.size, 0  # reached_v excludes j
-        level = 1
-        while reached_c < m:
-            if level % 2:  # checks -> variables 0..j-1
-                fwd, back, d_to, d_from = check_adj, var_adj, depth_v, depth_c
-                total, left = j, j - reached_v
-            else:  # variables -> checks
-                fwd, back, d_to, d_from = var_adj, check_adj, depth_c, depth_v
-                total, left = m, m - reached_c
-            if left * back.shape[1] < _BOTTOM_UP * frontier.size * fwd.shape[1]:
-                todo = np.flatnonzero(d_to[:total] < 0)
-                nxt = todo[(d_from[back[todo]] == level).any(axis=1)]
-            else:
-                xs = fwd[frontier].ravel()
-                xs = xs[d_to[xs] < 0]
-                k = np.arange(xs.size)
-                stamp[xs] = k
-                nxt = xs[stamp[xs] == k]
-            if nxt.size == 0:
-                break
-            level += 1
-            d_to[nxt] = level
-            frontier = nxt
-            if level % 2:
-                reached_c += nxt.size
-                last = nxt
-            else:
-                reached_v += nxt.size
-        if reached_c < m:
-            return np.flatnonzero(depth_c[:m] < 0)
-        return last
+    def bfs_candidates(frontier: np.ndarray, unreached: np.ndarray) -> np.ndarray:
+        """Checks eligible for an edge of a column already on ``frontier``."""
+        while True:
+            new = np.bitwise_or.reduce(near[frontier], axis=0) & unreached
+            if not new.any():
+                return members(unreached)
+            unreached &= ~new
+            if not unreached.any():
+                return members(new)
+            frontier = members(new)
 
     for j in range(n):
+        own = np.zeros_like(every)  # the checks of column j so far
         for e in range(int(degs[j])):
-            cand = bfs_candidates(j, e) if e else all_checks
+            prev = var_adj[j, :e]
+            cand = bfs_candidates(prev, every & ~own) if e else all_checks
             key = check_cnt[cand] * (m + 1) + rank[cand]
             c = int(cand[np.argmin(key)])
             var_adj[j, e] = c
-            if check_cnt[c] == cap:
-                check_adj = np.concatenate(
-                    [check_adj, np.full((m, cap), n, dtype=np.int32)], axis=1
-                )
-                cap *= 2
-            check_adj[c, check_cnt[c]] = j
             check_cnt[c] += 1
+            near[prev, c >> 6] |= eye[c, c >> 6]
+            near[c] |= own
+            own |= eye[c]
 
     # sorting pushes the sentinel padding of short columns to the row end
     srt = np.sort(var_adj, axis=1)
@@ -318,7 +284,7 @@ def _pad_rows(lens: np.ndarray, values: np.ndarray, pad: int) -> np.ndarray:
 
 
 def _padded_adjacency(matrix: ParityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(column table, check table) of the matrix, the layout PEG grows.
+    """(column table, check table) of the matrix.
 
     Each is an int32 (rows, max degree) array padded with a sentinel: row j
     of the column table holds column j's checks then m, row i of the check
@@ -407,16 +373,19 @@ def save_alist(matrix: ParityMatrix, path) -> None:
 def _ints(line: str, lineno: int) -> list[int]:
     toks = line.split()
     # plain ASCII digits only: int() would also take "+1", "-0" and "0_2"
-    if not all(tok.isascii() and tok.isdigit() for tok in toks):
+    digits = "".join(toks)
+    if toks and not (digits.isascii() and digits.isdigit()):
         raise AlistParseError(f"line {lineno}: token is not a decimal number")
-    return [int(tok) for tok in toks]
+    return list(map(int, toks))
 
 
 def load_alist(path) -> ParityMatrix:
     """Parse an alist file back into a ParityMatrix.
 
     Accepts both zero-padded and unpadded entry lines.  Raises
-    AlistParseError naming the offending line on any inconsistency.
+    AlistParseError naming the offending line on any inconsistency.  The
+    entry lines are parsed and checked as whole arrays; a file that fails
+    a check is read again line by line, to name its first bad line.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
@@ -449,10 +418,56 @@ def load_alist(path) -> ParityMatrix:
         raise AlistParseError(
             f"line {lines[-1][0]}: expected {4 + n + m} content lines, got {len(lines)}"
         )
+    matrix = _parse_entries([text for _, text in lines[4:]], n, m, col_deg, row_deg)
+    if matrix is None:
+        matrix = _parse_entry_lines(lines[4:], n, m, col_deg, row_deg)
+    return matrix
 
+
+def _parse_entries(texts, n, m, col_deg, row_deg):
+    """The matrix of the n column and m row entry lines, or None when a
+    check fails; the checks are those of ``_parse_entry_lines``."""
+    body = "\n".join(texts)
+    # ASCII digits between spaces and tabs only; other blanks take the slow path
+    digits = body.translate(str.maketrans("", "", " \t\n"))
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    try:
+        degs = np.array(col_deg + row_deg, dtype=np.int64)
+    except OverflowError:  # no valid degree is that large
+        return None
+    # every token parses; one too large for int64 reads as its maximum,
+    # which no valid index reaches
+    vals = np.fromstring(body, dtype=np.int64, sep=" ")
+    lens = np.array([len(text.split()) for text in texts])
+    keep = vals != 0
+    if not np.array_equal(np.add.reduceat(keep, np.cumsum(lens) - lens), degs):
+        return None  # every line has a token, so no segment is empty
+    vals = vals[keep] - 1
+    split = int(degs[:n].sum())
+    col_vals, row_vals = vals[:split], vals[split:]
+    if np.any(col_vals >= m) or np.any(row_vals >= n):
+        return None
+    edge_col = np.repeat(np.arange(n), col_deg)
+    # (column, check) keys: sorting them sorts each column's checks
+    col_keys = np.sort(edge_col * m + col_vals)
+    if np.any(np.diff(col_keys) == 0):  # a check twice in one column
+        return None
+    col_indptr = np.concatenate(([0], np.cumsum(col_deg)))
+    matrix = ParityMatrix(m, n, col_indptr, (col_keys % m).astype(np.int32))
+    row_keys = np.repeat(np.arange(m), row_deg) * n + row_vals
+    want = matrix.col_indices * np.int64(n) + edge_col
+    if not np.array_equal(np.sort(row_keys), np.sort(want)):
+        return None  # the row section disagrees with the column section
+    return matrix
+
+
+def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
+    """``_parse_entries`` one (line number, text) pair at a time, raising
+    AlistParseError at the first bad line."""
     cols = []
     for j in range(n):
-        ln, text = lines[4 + j]
+        ln, text = lines[j]
         ents = [x for x in _ints(text, ln) if x != 0]
         if len(ents) != col_deg[j]:
             raise AlistParseError(
@@ -469,7 +484,7 @@ def load_alist(path) -> ParityMatrix:
     # validate the row section against the column section's check table
     _, check_adj = _padded_adjacency(matrix)
     for i in range(m):
-        ln, text = lines[4 + n + i]
+        ln, text = lines[n + i]
         ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
         if len(ents) != row_deg[i]:
             raise AlistParseError(

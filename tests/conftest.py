@@ -10,6 +10,7 @@ revisions.
 
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -128,6 +129,7 @@ def accept_table(cache_dir, mother_matrix):
         frames_per_point=TABLE_FRAMES,
         seed=TABLE_SEED,
         max_iterations=TABLE_MAX_ITERATIONS,
+        threads=os.cpu_count() or 1,  # tables do not depend on the thread count
     )
     _save_table_npz(table, npz)
     _drop_stale("accept_table_*.npz", f"accept_table_{tag}_*.npz")

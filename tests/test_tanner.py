@@ -82,6 +82,17 @@ def peg_codes(draw):
     return m, n, rl.DegreeProfile(np.asarray(degs)), draw(st.integers(0, 2**32 - 1))
 
 
+@st.composite
+def wide_peg_codes(draw):
+    """(m, n, ragged profile, seed) with m up to 150: the check bitsets of
+    ``peg_construct`` span one to three 64-bit words."""
+    m = draw(st.integers(2, 150))
+    n = draw(st.integers(m + 1, m + 60))
+    # degrees up to 10 keep the reference fast; its BFS still reaches every word
+    degs = draw(st.lists(st.integers(2, min(m, 10)), min_size=n, max_size=n))
+    return m, n, rl.DegreeProfile(np.asarray(degs)), draw(st.integers(0, 2**32 - 1))
+
+
 class TestPegReference:
     """``peg_construct`` equals the plain top-down PEG of ``_oracles``."""
 
@@ -96,9 +107,19 @@ class TestPegReference:
         m, n, profile, seed = code
         assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
 
+    @settings(max_examples=25, deadline=None)
+    @given(code=wide_peg_codes())
+    # m at and around the 64-bit word boundaries
+    @example(code=(63, 200, rl.DegreeProfile.interleaved_4_5(200), 1))
+    @example(code=(64, 200, rl.DegreeProfile.uniform(200, 3), 2))
+    @example(code=(65, 130, rl.DegreeProfile.uniform(130, 2), 3))
+    @example(code=(128, 400, rl.DegreeProfile.interleaved_4_5(400), 4))
+    def test_matches_reference_past_one_word(self, code):
+        m, n, profile, seed = code
+        assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
+
     def test_matches_reference_interleaved(self):
-        # sparse like the real mother: deep searches that reach every check,
-        # mixing top-down and bottom-up levels
+        # sparse like the real mother: deep searches that reach every check
         prof = rl.DegreeProfile.interleaved_4_5(400)
         assert rl.peg_construct(40, 400, prof, 11) == peg_reference(40, 400, prof, 11)
 
@@ -115,6 +136,8 @@ class TestGoldenDigest:
              "7a33ad9d95483dd8efb6924d84e6c87d778ac0fa0c2a17bd0e54da2fb0820697"),
             (64, 256, "uniform3", 3,
              "b1948ebe2e6d139cd78362f2cf119e14c750b633c5f45bc2396777cd5f350b54"),
+            (100, 500, "interleaved45", 5,
+             "054df395e9b4965c8774bf66a4c176f94ff688f8664a56c07edc58ea8b252ab3"),
         ],
     )
     def test_small_codes(self, m, n, profile, seed, digest):
