@@ -64,6 +64,16 @@ def _file_sha256(path) -> str:
     return h.hexdigest()
 
 
+def _write_manifest(command: str, out: str, fields: dict) -> None:
+    """Write ``<out>.manifest.json``: ``fields`` with the command, the
+    package version and the SHA-256 of the file ``out``."""
+    write_manifest(
+        {"command": command, "version": __version__, **fields,
+         "out_sha256": _file_sha256(out)},
+        out + ".manifest.json",
+    )
+
+
 def _parse_range(spec: str, name: str) -> list[float]:
     from decimal import Decimal
 
@@ -95,19 +105,13 @@ def _cmd_gen_matrix(args) -> int:
     profile = _parse_profile(args.profile, args.vars)
     matrix = peg_construct(args.checks, args.vars, profile, args.seed)
     save_alist(matrix, args.out)
-    write_manifest(
-        {
-            "command": "gen-matrix",
-            "version": __version__,
-            "checks": args.checks,
-            "vars": args.vars,
-            "profile": args.profile,
-            "seed": args.seed,
-            "matrix_sha256": matrix_digest(matrix),
-            "out_sha256": _file_sha256(args.out),
-        },
-        args.out + ".manifest.json",
-    )
+    _write_manifest("gen-matrix", args.out, {
+        "checks": args.checks,
+        "vars": args.vars,
+        "profile": args.profile,
+        "seed": args.seed,
+        "matrix_sha256": matrix_digest(matrix),
+    })
     print(f"wrote {args.out}: {matrix.num_checks}x{matrix.num_vars}, "
           f"{matrix.num_edges} edges")
     return 0
@@ -124,6 +128,10 @@ def _cmd_girth_profile(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)
+        _write_manifest("girth-profile", args.out, {
+            "matrix_file_sha256": _file_sha256(args.matrix),
+            "widths": widths,
+        })
     else:
         sys.stdout.write(text)
     return 0
@@ -155,11 +163,10 @@ def _cmd_characterize(args) -> int:
         extra={
             "matrix_file": args.matrix,
             "matrix_file_sha256": _file_sha256(args.matrix),
-            "out_sha256": _file_sha256(args.out),
             "undetected_total": int(table.undetected.sum()),
         },
     )
-    write_manifest(man, args.out + ".manifest.json")
+    _write_manifest("characterize", args.out, man)
     print(f"wrote {args.out}: {len(grid)} error rates x {len(widths)} widths")
     return 0
 
@@ -177,7 +184,7 @@ def _cmd_reconcile(args) -> int:
         crossover_prior=args.p, max_iterations=args.max_iterations
     )
     corrected = np.empty_like(bob)
-    all_ok = True
+    failed = 0
     for k in range(alice.shape[0]):
         syndrome = encode_syndrome(prefix, alice[k])
         res = decode(prefix, bob[k], syndrome, config)
@@ -186,10 +193,20 @@ def _cmd_reconcile(args) -> int:
         if res.success:
             print(f"block {k}: OK ({flips} flips, {res.iterations_used} iterations)")
         else:
-            all_ok = False
+            failed += 1
             print(f"block {k}: FAIL ({res.unsatisfied_checks} unsatisfied checks)")
     write_key_blocks(args.out, corrected)
-    return 0 if all_ok else 1
+    _write_manifest("reconcile", args.out, {
+        "matrix_file_sha256": _file_sha256(args.matrix),
+        "alice_sha256": _file_sha256(args.alice),
+        "bob_sha256": _file_sha256(args.bob),
+        "width": args.width,
+        "p": args.p,
+        "max_iterations": args.max_iterations,
+        "blocks": int(alice.shape[0]),
+        "failed_blocks": failed,
+    })
+    return 0 if failed == 0 else 1
 
 
 def _cmd_simulate_link(args) -> int:
@@ -209,18 +226,12 @@ def _cmd_simulate_link(args) -> int:
     distances = _parse_range(args.distances, "distances")
     report = simulate_link(params, table, distances)
     save_report_csv(report, args.out)
-    write_manifest(
-        {
-            "command": "simulate-link",
-            "version": __version__,
-            "table_file": args.table,
-            "table_sha256": _file_sha256(args.table),
-            "params": dataclasses.asdict(params),
-            "distances": args.distances,
-            "out_sha256": _file_sha256(args.out),
-        },
-        args.out + ".manifest.json",
-    )
+    _write_manifest("simulate-link", args.out, {
+        "table_file": args.table,
+        "table_sha256": _file_sha256(args.table),
+        "params": dataclasses.asdict(params),
+        "distances": args.distances,
+    })
     print(f"wrote {args.out}: {len(report.rows)} distances")
     return 0
 

@@ -150,8 +150,10 @@ def decode(
     Sum-product message passing (flooding schedule): variable nodes start
     from the prior LLR log((1-p)/p) signed by the received bit; check-node
     updates use the tanh-product rule with the sign flipped wherever the
-    target syndrome bit is 1.  After every iteration the hard decision is
-    re-encoded and the decoder stops as soon as the syndrome matches.
+    target syndrome bit is 1.  Every iteration takes, per check, the parity
+    of the posterior signs gathered to its edges (the module docstring's
+    fused syndrome check; no hard decision is re-encoded), and the decoder
+    stops as soon as those parities match the target syndrome.
     Non-convergence within max_iterations is reported as success=False, not
     an error.
     """

@@ -9,6 +9,7 @@ so prefix quality (girth) is a first-class concern here.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -384,8 +385,8 @@ def load_alist(path) -> ParityMatrix:
 
     Accepts both zero-padded and unpadded entry lines.  Raises
     AlistParseError naming the offending line on any inconsistency.  The
-    entry lines are parsed and checked as whole arrays; a file that fails
-    a check is read again line by line, to name its first bad line.
+    header lines are read one at a time; the n + m entry lines are parsed
+    and checked as whole arrays by ``_parse_entries``.
     """
     with open(path, "r", encoding="ascii") as fh:
         raw = fh.read().splitlines()
@@ -418,79 +419,75 @@ def load_alist(path) -> ParityMatrix:
         raise AlistParseError(
             f"line {lines[-1][0]}: expected {4 + n + m} content lines, got {len(lines)}"
         )
-    matrix = _parse_entries([text for _, text in lines[4:]], n, m, col_deg, row_deg)
-    if matrix is None:
-        matrix = _parse_entry_lines(lines[4:], n, m, col_deg, row_deg)
-    return matrix
+    return _parse_entries(lines[4:], n, m, col_deg, row_deg)
 
 
-def _parse_entries(texts, n, m, col_deg, row_deg):
-    """The matrix of the n column and m row entry lines, or None when a
-    check fails; the checks are those of ``_parse_entry_lines``."""
-    body = "\n".join(texts)
-    # ASCII digits between spaces and tabs only; other blanks take the slow path
-    digits = body.translate(str.maketrans("", "", " \t\n"))
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    try:
-        degs = np.array(col_deg + row_deg, dtype=np.int64)
-    except OverflowError:  # no valid degree is that large
-        return None
-    # every token parses; one too large for int64 reads as its maximum,
-    # which no valid index reaches
-    vals = np.fromstring(body, dtype=np.int64, sep=" ")
-    lens = np.array([len(text.split()) for text in texts])
-    keep = vals != 0
-    if not np.array_equal(np.add.reduceat(keep, np.cumsum(lens) - lens), degs):
-        return None  # every line has a token, so no segment is empty
-    vals = vals[keep] - 1
-    split = int(degs[:n].sum())
-    col_vals, row_vals = vals[:split], vals[split:]
-    if np.any(col_vals >= m) or np.any(row_vals >= n):
-        return None
-    edge_col = np.repeat(np.arange(n), col_deg)
-    # (column, check) keys: sorting them sorts each column's checks
-    col_keys = np.sort(edge_col * m + col_vals)
-    if np.any(np.diff(col_keys) == 0):  # a check twice in one column
-        return None
-    col_indptr = np.concatenate(([0], np.cumsum(col_deg)))
-    matrix = ParityMatrix(m, n, col_indptr, (col_keys % m).astype(np.int32))
-    row_keys = np.repeat(np.arange(m), row_deg) * n + row_vals
-    want = matrix.col_indices * np.int64(n) + edge_col
-    if not np.array_equal(np.sort(row_keys), np.sort(want)):
-        return None  # the row section disagrees with the column section
-    return matrix
+def _parse_entries(lines, n, m, col_deg, row_deg) -> ParityMatrix:
+    """The matrix of the n column and m row entry lines, (number, text) pairs.
 
+    AlistParseError names the first line that a check flags, with the
+    message of its first failing check: a token that is not ASCII digits;
+    an entry count other than the declared degree; in a column, an index
+    outside 1..m, then a repeated check; in a row, entries that disagree
+    with the column section.  The columns are checked in full before the
+    rows, and only the lines before the first bad token are parsed.
+    """
+    body = "\n".join(text for _, text in lines) + "\n"
+    # splitlines() took the other blanks; str.split() also splits at \x1f
+    bad = re.search(r"[^0-9 \t\x1f\n]", body)
+    cut = body.rfind("\n", 0, bad.start()) + 1 if bad else len(body)
+    good = body.count("\n", 0, cut)  # the lines before the first bad token
+    # a -1 ends each line's values: a value's line counts the -1s before it
+    ents = np.fromstring(
+        body[:cut].replace("\n", " -1 ").replace("\x1f", " "), dtype=np.int64, sep=" "
+    )
+    del body  # freed before the arrays below, which set the load's peak memory
+    line = np.cumsum(ents < 0)[ents > 0]
+    # 0-based entries, big - 1 standing for every value past n and m (an
+    # int64-saturated token too), so that (line, entry) keys cannot overflow
+    big = max(n, m) + 1
+    ents = np.minimum(ents[ents > 0], big) - 1
+    cnt = np.bincount(line, minlength=good)
+    declared = col_deg + row_deg
+    # no line holds ``cut`` entries, so clipping a degree there keeps a mismatch
+    miscount = cnt != np.array([min(d, cut) for d in declared[:good]], dtype=np.int64)
 
-def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
-    """``_parse_entries`` one (line number, text) pair at a time, raising
-    AlistParseError at the first bad line."""
-    cols = []
-    for j in range(n):
-        ln, text = lines[j]
-        ents = [x for x in _ints(text, ln) if x != 0]
-        if len(ents) != col_deg[j]:
-            raise AlistParseError(
-                f"line {ln}: column {j} has {len(ents)} entries, declared {col_deg[j]}"
-            )
-        if any(not (1 <= x <= m) for x in ents):
-            raise AlistParseError(f"line {ln}: check index out of range 1..{m}")
-        if len(set(ents)) != len(ents):
-            raise AlistParseError(f"line {ln}: duplicate check index in column {j}")
-        cols.append(sorted(x - 1 for x in ents))
+    def refuse(start, stop, checks):
+        """Raise at the first line from ``start`` that a (flags, message)
+        check flags, else at the first bad token if it is before ``stop``."""
+        flagged = np.logical_or.reduce([flags for flags, _ in checks])
+        if flagged.any():
+            k = int(flagged.argmax())
+            why = next(msg for flags, msg in checks if flags[k])
+            why = why.format(k, cnt[start + k], declared[start + k])
+            raise AlistParseError(f"line {lines[start + k][0]}: {why}")
+        if good < stop:
+            raise AlistParseError(f"line {lines[good][0]}: token is not a decimal number")
 
-    col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
-    matrix = ParityMatrix(m, n, col_indptr, np.concatenate(cols).astype(np.int32))
-    # validate the row section against the column section's check table
-    _, check_adj = _padded_adjacency(matrix)
-    for i in range(m):
-        ln, text = lines[n + i]
-        ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
-        if len(ents) != row_deg[i]:
-            raise AlistParseError(
-                f"line {ln}: row {i} has {len(ents)} entries, declared {row_deg[i]}"
-            )
-        row = check_adj[i]
-        if ents != row[row < n].tolist():
-            raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
+    split = int(cnt[:n].sum())
+    col_line, col_ents = line[:split], ents[:split]
+    keys = np.sort(col_line * big + col_ents)  # (column, check), sorted
+    ncol = min(good, n)
+    refuse(0, n, [
+        (miscount[:n], "column {0} has {1} entries, declared {2}"),
+        (np.bincount(col_line[col_ents >= m], minlength=ncol) > 0,
+         f"check index out of range 1..{m}"),
+        (np.bincount(keys[1:][keys[1:] == keys[:-1]] // big, minlength=ncol) > 0,
+         "duplicate check index in column {0}"),
+    ])
+    checks = keys % big
+    matrix = ParityMatrix(m, n, np.concatenate(([0], np.cumsum(cnt[:n]))), checks)
+    given = np.sort((line[split:] - n) * big + ents[split:])
+    # the (check, column) keys, sorted; built in place, to keep the peak down
+    want = checks * big
+    want += keys // big
+    want.sort()
+    # the two line up to the first row whose length differs from its check's
+    disagree = cnt[n:] != np.bincount(checks, minlength=m)[: good - n]
+    k = min(given.size, want.size)
+    disagree[given[:k][given[:k] != want[:k]] // big] = True
+    refuse(n, n + m, [
+        (miscount[n:], "row {0} has {1} entries, declared {2}"),
+        (disagree, "row {0} disagrees with column section"),
+    ])
     return matrix

@@ -5,15 +5,23 @@ completely independent of the message-passing decoder under test.
 ``peg_reference`` is the plain top-down PEG construction that
 ``raldpc.peg_construct`` must reproduce edge for edge, ``girth_reference``
 is the per-prefix CSR breadth-first search that ``raldpc.girth_profile``
-must agree with, and ``decode_batch_reference`` is the sum-product batch decoder that
-``raldpc.codec._decode_batch`` must reproduce output for output.
+must agree with, ``decode_batch_reference`` is the sum-product batch
+decoder that ``raldpc.codec._decode_batch`` must reproduce output for
+output, and ``load_alist_reference`` is the line-by-line alist loader
+whose matrices and error messages ``raldpc.load_alist`` must reproduce.
 """
 
 import numpy as np
 
 from raldpc import DegreeProfile, ParityMatrix, encode_syndrome_batch
 from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
-from raldpc.tanner import ACYCLIC, MatrixPrefix
+from raldpc.tanner import (
+    ACYCLIC,
+    AlistParseError,
+    MatrixPrefix,
+    _ints,
+    _padded_adjacency,
+)
 
 
 def prefix_columns(prefix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -384,3 +392,80 @@ def decode_batch_reference(
         iters[active] = config.max_iterations
         unsat[active] = miss
     return hard, unsat == 0, iters, unsat
+
+
+def load_alist_reference(path) -> ParityMatrix:
+    """Parse an alist file back into a ParityMatrix.
+
+    The line-by-line loader that ``raldpc.load_alist`` replaced; kept as
+    the reference whose matrices and error messages it must reproduce.
+
+    Accepts both zero-padded and unpadded entry lines.  Raises
+    AlistParseError naming the offending line on any inconsistency.
+    """
+    with open(path, "r", encoding="ascii") as fh:
+        raw = fh.read().splitlines()
+    lines = [(i + 1, ln) for i, ln in enumerate(raw) if ln.strip()]
+    if len(lines) < 4:
+        raise AlistParseError("line 1: file truncated (need at least 4 header lines)")
+    ln, first = lines[0]
+    head = _ints(first, ln)
+    if len(head) != 2 or head[0] <= 0 or head[1] <= 0:
+        raise AlistParseError(f"line {ln}: expected 'n m' with positive integers")
+    n, m = head
+    ln, second = lines[1]
+    maxes = _ints(second, ln)
+    if len(maxes) != 2:
+        raise AlistParseError(f"line {ln}: expected 'max_col_deg max_row_deg'")
+    ln, third = lines[2]
+    col_deg = _ints(third, ln)
+    if len(col_deg) != n:
+        raise AlistParseError(f"line {ln}: expected {n} column degrees")
+    ln, fourth = lines[3]
+    row_deg = _ints(fourth, ln)
+    if len(row_deg) != m:
+        raise AlistParseError(f"line {ln}: expected {m} row degrees")
+    if maxes != [max(col_deg), max(row_deg)]:
+        raise AlistParseError(
+            f"line {lines[1][0]}: max degrees {maxes[0]} {maxes[1]} disagree with "
+            f"the declared degrees (max {max(col_deg)} {max(row_deg)})"
+        )
+    if len(lines) != 4 + n + m:
+        raise AlistParseError(
+            f"line {lines[-1][0]}: expected {4 + n + m} content lines, got {len(lines)}"
+        )
+    return _parse_entry_lines(lines[4:], n, m, col_deg, row_deg)
+
+
+def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
+    """The matrix of the n column and m row entry lines, one (line number,
+    text) pair at a time, raising AlistParseError at the first bad line."""
+    cols = []
+    for j in range(n):
+        ln, text = lines[j]
+        ents = [x for x in _ints(text, ln) if x != 0]
+        if len(ents) != col_deg[j]:
+            raise AlistParseError(
+                f"line {ln}: column {j} has {len(ents)} entries, declared {col_deg[j]}"
+            )
+        if any(not (1 <= x <= m) for x in ents):
+            raise AlistParseError(f"line {ln}: check index out of range 1..{m}")
+        if len(set(ents)) != len(ents):
+            raise AlistParseError(f"line {ln}: duplicate check index in column {j}")
+        cols.append(sorted(x - 1 for x in ents))
+
+    col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+    matrix = ParityMatrix(m, n, col_indptr, np.concatenate(cols).astype(np.int32))
+    # validate the row section against the column section's check table
+    _, check_adj = _padded_adjacency(matrix)
+    for i in range(m):
+        ln, text = lines[n + i]
+        ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
+        if len(ents) != row_deg[i]:
+            raise AlistParseError(
+                f"line {ln}: row {i} has {len(ents)} entries, declared {row_deg[i]}"
+            )
+        row = check_adj[i]
+        if ents != row[row < n].tolist():
+            raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
+    return matrix

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raldpc as rl
 from raldpc.adapt import DistillationTable, NoFeasibleWidth
+
+from _strategies import byte_edits
 
 # reference values evaluated once at 40-digit precision from the closed forms
 H_002 = 0.1414405425418206  # -0.02*log2(0.02) - 0.98*log2(0.98)
@@ -245,7 +249,52 @@ class TestSelectWidth:
             )
 
 
+@st.composite
+def tables(draw) -> DistillationTable:
+    """A table the CSV can hold: rates on the 0.001 grid, FERs inside
+    their intervals, absent cells, and rows with no working width."""
+    rates = sorted(draw(st.sets(st.integers(1, 499), min_size=1, max_size=5)))
+    widths = sorted(draw(st.sets(st.integers(1, 10**6), min_size=1, max_size=4)))[::-1]
+    shape = (len(rates), len(widths))
+    cells = len(rates) * len(widths)
+    # each cell's three sorted draws are its ci_low <= fer <= ci_high
+    lo, fer, hi = np.sort(np.reshape(
+        draw(st.lists(st.floats(0, 1), min_size=3 * cells, max_size=3 * cells)),
+        (*shape, 3),
+    ), axis=-1).transpose(2, 0, 1)
+    alpha = np.reshape(draw(st.lists(
+        st.floats(0, 1) | st.just(np.nan), min_size=cells, max_size=cells
+    )), shape)
+    working = [
+        draw(st.sampled_from([None] + [w for w, a in zip(widths, row) if not np.isnan(a)]))
+        for row in alpha
+    ]
+    return DistillationTable(np.array(rates) / 1000, widths, alpha, fer, lo, hi, working)
+
+
 class TestTableCsv:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("table") / "table.csv"
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables())
+    def test_save_load_save_is_byte_identical(self, path, table):
+        rl.save_table_csv(table, path)
+        first = path.read_bytes()
+        rl.save_table_csv(rl.load_table_csv(path), path)
+        assert path.read_bytes() == first
+
+    @settings(max_examples=100, deadline=None)
+    @given(table=tables(), data=st.data())
+    def test_one_byte_edit_loads_or_is_refused(self, path, table, data):
+        rl.save_table_csv(table, path)
+        path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+        try:
+            rl.load_table_csv(path)
+        except ValueError:  # UnicodeDecodeError included
+            pass
+
     def test_round_trip(self, tmp_path):
         t = synthetic_table()
         path = tmp_path / "table.csv"

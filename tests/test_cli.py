@@ -3,10 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import raldpc as rl
 from raldpc import cli
 from raldpc.cli import main
+
+from _strategies import byte_edits
 
 
 def sha(path):
@@ -209,6 +213,8 @@ class TestReconcile:
              "--out", str(tmp_path / "c.txt")]
         )
         assert code == 1
+        man = json.loads((tmp_path / "c.txt.manifest.json").read_text())
+        assert (man["blocks"], man["failed_blocks"]) == (1, 1)
 
     def test_trailing_empty_column_keeps_received_bit(self, tmp_path, capsys):
         # 3x5 code whose last column no check touches
@@ -402,3 +408,95 @@ class TestSimulateLink:
         )
         assert code == 3
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def inputs(small_alist, tmp_path_factory):
+    """Key files and a table for ``small_alist``."""
+    d = tmp_path_factory.mktemp("inputs")
+    rng = np.random.default_rng(5)
+    key = rng.integers(0, 2, (2, 320), dtype=np.uint8)
+    rl.write_key_blocks(d / "alice.txt", key)
+    rl.write_key_blocks(d / "bob.txt", key ^ (rng.random(key.shape) < 0.01))
+    assert main(
+        ["characterize", "--matrix", str(small_alist), "--widths", "320,192",
+         "--errors", "0.010:0.030:0.010", "--frames", "20", "--seed", "4",
+         "--out", str(d / "table.csv")]
+    ) == 0
+    return d
+
+
+def command_args(command, small_alist, inputs):
+    """Arguments of one run of ``command``, all but ``--out``."""
+    return {
+        "gen-matrix": ["--checks", "32", "--vars", "96", "--seed", "3"],
+        "girth-profile": ["--matrix", str(small_alist), "--widths", "128,320"],
+        "characterize": ["--matrix", str(small_alist), "--widths", "320",
+                         "--errors", "0.010:0.020:0.010", "--frames", "8"],
+        "reconcile": ["--matrix", str(small_alist), "--width", "320",
+                      "--alice", str(inputs / "alice.txt"),
+                      "--bob", str(inputs / "bob.txt"), "--p", "0.01"],
+        "simulate-link": ["--table", str(inputs / "table.csv"),
+                          "--distances", "0:20:10"],
+    }[command]
+
+
+class TestManifests:
+    @pytest.mark.parametrize(
+        "command",
+        ["gen-matrix", "girth-profile", "characterize", "reconcile", "simulate-link"],
+    )
+    def test_cites_output_and_repeats(self, small_alist, inputs, tmp_path, command):
+        args = [command] + command_args(command, small_alist, inputs)
+        manifests = []
+        for out in (tmp_path / "a.out", tmp_path / "b.out"):
+            assert main(args + ["--out", str(out)]) == 0
+            text = (tmp_path / (out.name + ".manifest.json")).read_bytes()
+            man = json.loads(text)
+            assert man["command"] == command and man["out_sha256"] == sha(out)
+            manifests.append(text)
+        assert manifests[0] == manifests[1]
+
+    def test_girth_profile_to_stdout_writes_none(
+        self, small_alist, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(small_alist.parent.iterdir())
+        assert main(
+            ["girth-profile", "--matrix", str(small_alist), "--widths", "128"]
+        ) == 0
+        assert not list(tmp_path.iterdir())
+        assert sorted(small_alist.parent.iterdir()) == before
+
+
+class TestEditedInputs:
+    """A one-byte edit of an input file is loaded or refused with exit
+    code 3, never a traceback."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(side=st.sampled_from(["alice", "bob"]), data=st.data())
+    def test_reconcile_key_file(self, small_alist, inputs, side, data):
+        work = inputs / "edited"
+        work.mkdir(exist_ok=True)
+        for name in ("alice", "bob"):
+            text = (inputs / f"{name}.txt").read_bytes()
+            if name == side:
+                text = data.draw(byte_edits(text))
+            (work / f"{name}.txt").write_bytes(text)
+        code = main(
+            ["reconcile", "--matrix", str(small_alist), "--width", "320",
+             "--alice", str(work / "alice.txt"), "--bob", str(work / "bob.txt"),
+             "--p", "0.01", "--out", str(work / "c.txt")]
+        )
+        assert code in (0, 1, 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_simulate_link_table(self, inputs, data):
+        table = inputs / "edited.csv"
+        table.write_bytes(data.draw(byte_edits((inputs / "table.csv").read_bytes())))
+        code = main(
+            ["simulate-link", "--table", str(table), "--distances", "0:110:10",
+             "--out", str(inputs / "r.csv")]
+        )
+        assert code in (0, 3)

@@ -20,6 +20,7 @@ from _oracles import (
     dense_parity,
     patterns_of_weight_at_most,
 )
+from _strategies import byte_edits
 
 
 @pytest.fixture(scope="module")
@@ -556,7 +557,36 @@ class TestHighNoiseFullWidth:
         assert est.point_estimate == 1.0
 
 
+@st.composite
+def key_blocks(draw) -> np.ndarray:
+    """A (blocks, width) 0/1 uint8 array, at least one bit."""
+    rows, width = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    data = draw(st.binary(min_size=rows * width, max_size=rows * width))
+    return (np.frombuffer(data, dtype=np.uint8) & 1).reshape(rows, width)
+
+
 class TestKeyBlockFiles:
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("keys") / "keys.txt"
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=key_blocks())
+    def test_any_blocks_round_trip(self, path, blocks):
+        rl.write_key_blocks(path, blocks)
+        assert np.array_equal(rl.read_key_blocks(path, width=blocks.shape[1]), blocks)
+
+    @settings(max_examples=100, deadline=None)
+    @given(blocks=key_blocks(), data=st.data())
+    def test_one_byte_edit_loads_or_is_refused(self, path, blocks, data):
+        rl.write_key_blocks(path, blocks)
+        path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+        try:
+            loaded = rl.read_key_blocks(path)
+        except ValueError:  # UnicodeDecodeError included
+            return
+        assert loaded.ndim == 2 and np.all(loaded <= 1)
+
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(10)
         blocks = rng.integers(0, 2, (3, 17), dtype=np.uint8)

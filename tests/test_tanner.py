@@ -1,3 +1,5 @@
+import tempfile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -7,7 +9,8 @@ import raldpc as rl
 from raldpc.cli import main
 from raldpc.tanner import ACYCLIC, AlistParseError
 
-from _oracles import girth_reference, peg_reference
+from _oracles import girth_reference, load_alist_reference, peg_reference
+from _strategies import byte_edits
 
 
 def small_matrix(cols, m):
@@ -394,14 +397,46 @@ def any_matrices(draw):
 
 
 @st.composite
-def byte_edits(draw, data: bytes) -> bytes:
-    """``data`` with one byte replaced, deleted or inserted."""
-    kind = draw(st.sampled_from(["replace", "delete", "insert"]))
-    pos = draw(st.integers(0, len(data) - (kind != "insert")))
-    byte = bytes([draw(st.integers(0, 255))])
-    if kind == "insert":
-        return data[:pos] + byte + data[pos:]
-    return data[:pos] + (byte if kind == "replace" else b"") + data[pos + 1:]
+def token_edits(draw, data: bytes, m: int) -> bytes:
+    """``data`` with one token of one entry line inserted or replaced: an
+    odd token, m + 1 or one of the line's own tokens (a repeated index)."""
+    lines = data.split(b"\n")
+    k = draw(st.integers(min(4, len(lines) - 1), len(lines) - 1))
+    toks = lines[k].split(b" ")
+    # zeros, tokens int() takes but the alist format does not, values past
+    # int64 and uint64, and blanks other than the space
+    odd = st.sampled_from([
+        b"0", b"00", b"+1", b"-0", b"0_2", b"9223372036854775808",
+        b"18446744073709551616", b"99999999999999999999", b"\t", b"\x1f", b"\x0b",
+        str(m + 1).encode(),
+    ])
+    tok = draw(odd | st.sampled_from(toks))
+    i = draw(st.integers(0, len(toks)))
+    toks[i:i + (i < len(toks) and draw(st.booleans()))] = [tok]
+    lines[k] = b" ".join(toks)
+    return b"\n".join(lines)
+
+
+@st.composite
+def edited_alists(draw) -> bytes:
+    """save_alist's file of a random matrix after 1-3 token or byte edits."""
+    matrix = draw(any_matrices())
+    with tempfile.TemporaryDirectory() as tmp:
+        rl.save_alist(matrix, f"{tmp}/m.alist")
+        with open(f"{tmp}/m.alist", "rb") as fh:
+            data = fh.read()
+    for _ in range(draw(st.integers(1, 3))):
+        edit = st.one_of(token_edits(data, matrix.num_checks), byte_edits(data))
+        data = draw(edit)
+    return data
+
+
+def loaded(load, path):
+    """``load(path)``, or the type and text of the ValueError it raises."""
+    try:
+        return load(path)
+    except ValueError as exc:  # AlistParseError and UnicodeDecodeError included
+        return type(exc), str(exc)
 
 
 def check_slot_tables(matrix, width):
@@ -456,11 +491,12 @@ class TestPrefixEdges:
         assert cols == slice(None) and slots.shape == (5, 30)
 
 
-class TestAlistRoundTrip:
-    @pytest.fixture(scope="class")
-    def path(self, tmp_path_factory):
-        return tmp_path_factory.mktemp("alist") / "m.alist"
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    return tmp_path_factory.mktemp("alist") / "m.alist"
 
+
+class TestAlistRoundTrip:
     @settings(max_examples=100, deadline=None)
     @given(matrix=any_matrices())
     def test_round_trip(self, path, matrix):
@@ -492,3 +528,24 @@ class TestAlistRoundTrip:
         with pytest.raises(ValueError, match="no edges"):
             rl.save_alist(empty, tmp_path / "m.alist")
         assert not (tmp_path / "m.alist").exists()
+
+
+class TestAlistReference:
+    """``load_alist`` gives the reference's matrix, or its exception type
+    and text, on edited files."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=edited_alists())
+    # a check twice in a column whose count matches its declared degree
+    @example(text=b"3 2\n2 3\n2 2 2\n3 3\n1 2\n2 2\n1 2\n1 2 3\n1 2 3\n")
+    # a count error on a line before a bad-token line
+    @example(text=b"3 2\n2 3\n2 2 2\n3 3\n1\n1 2\n+1 2\n1 2 3\n1 2 3\n")
+    # a bad token in the row section after clean columns
+    @example(text=b"3 2\n2 3\n2 2 2\n3 3\n1 2\n1 2\n1 2\n1 2 3\n1 0_2 3\n")
+    # rows whose counts match their declared degrees but whose entries
+    # disagree: the same length as the check, then shorter
+    @example(text=b"3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n2 3\n2 3\n")
+    @example(text=b"3 2\n2 3\n2 2 2\n2 3\n1 2\n1 2\n1 2\n1 2\n1 2 3\n")
+    def test_matches_reference(self, path, text):
+        path.write_bytes(text)
+        assert loaded(rl.load_alist, path) == loaded(load_alist_reference, path)
