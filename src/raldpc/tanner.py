@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -205,18 +207,27 @@ def peg_construct(
     then by a seed-derived permutation of the check indices, so the result
     is deterministic for fixed inputs.
 
-    The BFS walks check levels only, over bitsets of ceil(m / 64)
-    little-endian uint64 words per check: bit c' of row c of ``near`` is
-    set when a column placed so far joins both c and c', and ``eye`` holds
-    each check's own bit.  The two (m, ceil(m / 64)) tables take m^2 / 4
-    bytes (256 KB at m = 1024, 4 MB at 4096).  A level is the OR of the
-    frontier's ``near`` rows, less the checks already reached.  That is
-    the BFS's next check level as a set: a variable reached on an earlier
-    level has all its checks reached by now, so stepping through it adds
-    nothing.  The tie-break key is unique per check, so the order of a
-    level never matters.  The search stops when a level is empty (the
-    candidates are the unreached checks) or when every check is reached
-    (the candidates are the last level).
+    Sets of checks are Python ints in rank order: bit r stands for check
+    ``perm[r]``, where ``perm`` is the seed's permutation, so the lowest
+    set bit of a set is its lowest-rank check.  ``bycnt[d]`` is the set of
+    checks with d edges so far; the chosen check is the lowest bit of
+    ``cand & bycnt[d]`` for the smallest d where that is nonempty, which
+    is the (degree, rank) tie-break above.  ``near[r]`` is the set of
+    checks that share a placed column with check r; it is symmetric.  The
+    m ints of up to m bits take about m^2 / 8 bytes plus their headers
+    (about 170 KB at m = 1024, 2.4 MB at 4096).
+
+    The BFS walks check levels only.  A level is the next check level of
+    the BFS as a set, less the checks already reached: a variable reached
+    on an earlier level has all its checks reached by now, so stepping
+    through it adds nothing.  A level goes one of two ways (Beamer et al.,
+    SC 2012).  Top-down, it is the OR of the frontier's ``near`` rows.
+    Bottom-up, taken when the frontier holds more checks than are
+    unreached, it is the unreached checks whose ``near`` row meets the
+    frontier.  The frontier is listed only for a top-down level.  The
+    search stops when a level is empty (the candidates are the unreached
+    checks) or when every check is reached (the candidates are the last
+    level).
     """
     m, n = int(num_checks), int(num_vars)
     if len(profile) != n:
@@ -227,49 +238,75 @@ def peg_construct(
     if int(degs.max()) > m:
         raise ValueError("column degree exceeds number of check nodes")
 
-    rng = np.random.default_rng(seed)
-    rank = np.empty(m, dtype=np.int64)
-    rank[rng.permutation(m)] = np.arange(m)
-    all_checks = np.arange(m)
+    perm = np.random.default_rng(seed).permutation(m).tolist()
+    nbytes = (m + 7) >> 3
+    every = (1 << m) - 1
+    near = [0] * m
+    bycnt = [every]  # no check has an edge yet
+    low_cnt = 0  # bycnt[:low_cnt] are empty, and stay so: counts only grow
 
-    var_adj = np.full((n, int(degs.max())), m, dtype=np.int32)
-    check_cnt = np.zeros(m, dtype=np.int64)
-    eye = np.zeros((m, (m + 63) >> 6), dtype="<u8")
-    # bit c of row c: byte c >> 3 of the little-endian words, bit c & 7
-    eye.view(np.uint8)[all_checks, all_checks >> 3] = 1 << (all_checks & 7)
-    near = np.zeros_like(eye)
-    every = np.bitwise_or.reduce(eye, axis=0)
+    def members(bits: int, count: int) -> list[int]:
+        """The bit numbers of ``bits``, which has ``count`` of them."""
+        # on a shared 2-vCPU host the loop took 0.35-0.75 us a member at
+        # m = 1024-4096 and numpy a flat 8-20 us: they cross at 24-30 members
+        if count <= 24:
+            out = []
+            while bits:
+                low = bits & -bits
+                out.append(low.bit_length() - 1)
+                bits ^= low
+            return out
+        raw = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
+        return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
 
-    def members(bits: np.ndarray) -> np.ndarray:
-        return np.unpackbits(bits.view(np.uint8), bitorder="little").nonzero()[0]
-
-    def bfs_candidates(frontier: np.ndarray, unreached: np.ndarray) -> np.ndarray:
-        """Checks eligible for an edge of a column already on ``frontier``."""
+    def candidates(frontier: list[int] | None, own: int) -> int:
+        """Checks eligible for an edge of the column whose checks are
+        ``frontier`` (a list) and ``own`` (a set)."""
+        unreached, front = every ^ own, own
         while True:
-            new = np.bitwise_or.reduce(near[frontier], axis=0) & unreached
-            if not new.any():
-                return members(unreached)
-            unreached &= ~new
-            if not unreached.any():
-                return members(new)
-            frontier = members(new)
+            if frontier is None:  # bottom-up: drop the checks that miss it
+                new = unreached
+                for u in members(unreached, left):
+                    if not near[u] & front:
+                        new ^= 1 << u
+            else:
+                new = reduce(or_, map(near.__getitem__, frontier), 0) & unreached
+            if not new:
+                return unreached
+            unreached ^= new
+            if not unreached:
+                return new
+            size, left = new.bit_count(), unreached.bit_count()
+            # each way lists its set and does one big-int op a member; PEG
+            # on the 1024x5120 mother (same host) took 0.83-0.90 s going
+            # bottom-up past 1x, 0.82-1.0 s past 2x, 0.91-1.2 s past 5x and
+            # 1.6-1.9 s never
+            frontier = None if size > left else members(new, size)
+            front = new
 
-    for j in range(n):
-        own = np.zeros_like(every)  # the checks of column j so far
-        for e in range(int(degs[j])):
-            prev = var_adj[j, :e]
-            cand = bfs_candidates(prev, every & ~own) if e else all_checks
-            key = check_cnt[cand] * (m + 1) + rank[cand]
-            c = int(cand[np.argmin(key)])
-            var_adj[j, e] = c
-            check_cnt[c] += 1
-            near[prev, c >> 6] |= eye[c, c >> 6]
-            near[c] |= own
-            own |= eye[c]
-
-    # sorting pushes the sentinel padding of short columns to the row end
-    srt = np.sort(var_adj, axis=1)
-    col_indices = srt[srt < m]
+    col_indices = []
+    for deg in degs.tolist():
+        own, cols = 0, []
+        for e in range(deg):
+            cand = candidates(cols, own) if e else every
+            d = low_cnt
+            while not cand & bycnt[d]:
+                d += 1
+            pick = cand & bycnt[d]
+            low = pick & -pick
+            bycnt[d] ^= low
+            if d + 1 == len(bycnt):
+                bycnt.append(0)
+            bycnt[d + 1] |= low
+            while not bycnt[low_cnt]:
+                low_cnt += 1
+            for r in cols:
+                near[r] |= low
+            r = low.bit_length() - 1
+            near[r] |= own
+            own |= low
+            cols.append(r)
+        col_indices += sorted(perm[r] for r in cols)
     col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)
     return ParityMatrix(m, n, col_indptr, col_indices)
 
@@ -398,6 +435,10 @@ def load_alist(path) -> ParityMatrix:
     if len(head) != 2 or head[0] <= 0 or head[1] <= 0:
         raise AlistParseError(f"line {ln}: expected 'n m' with positive integers")
     n, m = head
+    if n <= m:
+        raise AlistParseError(
+            f"line {ln}: n = {n} must exceed m = {m} (rate would be <= 0)"
+        )
     ln, second = lines[1]
     maxes = _ints(second, ln)
     if len(maxes) != 2:
@@ -414,6 +455,11 @@ def load_alist(path) -> ParityMatrix:
         raise AlistParseError(
             f"line {lines[1][0]}: max degrees {maxes[0]} {maxes[1]} disagree with "
             f"the declared degrees (max {max(col_deg)} {max(row_deg)})"
+        )
+    if maxes == [0, 0]:
+        raise AlistParseError(
+            f"line {lines[1][0]}: max degrees 0 0: "
+            "an alist file cannot hold a matrix with no edges"
         )
     if len(lines) != 4 + n + m:
         raise AlistParseError(

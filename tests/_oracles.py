@@ -413,6 +413,10 @@ def load_alist_reference(path) -> ParityMatrix:
     if len(head) != 2 or head[0] <= 0 or head[1] <= 0:
         raise AlistParseError(f"line {ln}: expected 'n m' with positive integers")
     n, m = head
+    if n <= m:
+        raise AlistParseError(
+            f"line {ln}: n = {n} must exceed m = {m} (rate would be <= 0)"
+        )
     ln, second = lines[1]
     maxes = _ints(second, ln)
     if len(maxes) != 2:
@@ -429,6 +433,11 @@ def load_alist_reference(path) -> ParityMatrix:
         raise AlistParseError(
             f"line {lines[1][0]}: max degrees {maxes[0]} {maxes[1]} disagree with "
             f"the declared degrees (max {max(col_deg)} {max(row_deg)})"
+        )
+    if maxes == [0, 0]:
+        raise AlistParseError(
+            f"line {lines[1][0]}: max degrees 0 0: "
+            "an alist file cannot hold a matrix with no edges"
         )
     if len(lines) != 4 + n + m:
         raise AlistParseError(

@@ -87,8 +87,9 @@ def peg_codes(draw):
 
 @st.composite
 def wide_peg_codes(draw):
-    """(m, n, ragged profile, seed) with m up to 150: the check bitsets of
-    ``peg_construct`` span one to three 64-bit words."""
+    """(m, n, ragged profile, seed) with m up to 150: the check sets of
+    ``peg_construct`` span several digits of a Python int and up to 19
+    bytes when listed through numpy."""
     m = draw(st.integers(2, 150))
     n = draw(st.integers(m + 1, m + 60))
     # degrees up to 10 keep the reference fast; its BFS still reaches every word
@@ -112,11 +113,16 @@ class TestPegReference:
 
     @settings(max_examples=25, deadline=None)
     @given(code=wide_peg_codes())
-    # m at and around the 64-bit word boundaries
+    # m at and around multiples of 64 and of 8 (whole bytes for numpy)
     @example(code=(63, 200, rl.DegreeProfile.interleaved_4_5(200), 1))
     @example(code=(64, 200, rl.DegreeProfile.uniform(200, 3), 2))
     @example(code=(65, 130, rl.DegreeProfile.uniform(130, 2), 3))
     @example(code=(128, 400, rl.DegreeProfile.interleaved_4_5(400), 4))
+    # both level directions, and frontiers listed one bit at a time and
+    # through numpy (more than 24 checks): sparse three-word columns, then
+    # dense ones whose searches reach every check in two or three levels
+    @example(code=(150, 210, rl.DegreeProfile.interleaved_4_5(210), 6))
+    @example(code=(100, 150, rl.DegreeProfile.uniform(150, 6), 4))
     def test_matches_reference_past_one_word(self, code):
         m, n, profile, seed = code
         assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
@@ -366,9 +372,11 @@ class TestAlist:
             (5, "+1 2"),
             (6, "0_1 2"),
             (8, "1 2 3 -0"),
+            (1, "2 2"),  # no more columns than checks
+            (1, "1 2"),
         ],
     )
-    def test_rejects_what_save_alist_never_writes(self, tmp_path, lineno, text):
+    def test_rejects_what_save_alist_never_writes(self, tmp_path, capsys, lineno, text):
         m = small_matrix([[0, 1], [0, 1], [0, 1]], m=2)
         path = tmp_path / "m.alist"
         rl.save_alist(m, path)
@@ -378,6 +386,7 @@ class TestAlist:
         with pytest.raises(AlistParseError, match=f"line {lineno}"):
             rl.load_alist(path)
         assert main(["girth-profile", "--matrix", str(path), "--widths", "3"]) == 3
+        assert f"line {lineno}:" in capsys.readouterr().err
         keys = str(tmp_path / "keys.txt")  # never read: the matrix is refused first
         code = main(["reconcile", "--matrix", str(path), "--width", "3", "--alice", keys,
                      "--bob", keys, "--p", "0.1", "--out", str(tmp_path / "c.txt")])
@@ -528,6 +537,12 @@ class TestAlistRoundTrip:
         with pytest.raises(ValueError, match="no edges"):
             rl.save_alist(empty, tmp_path / "m.alist")
         assert not (tmp_path / "m.alist").exists()
+        # the file save_alist would have written, if it wrote one
+        path = tmp_path / "m.alist"
+        path.write_text("3 2\n0 0\n0 0 0\n0 0\n0\n0\n0\n0\n0\n")
+        with pytest.raises(AlistParseError, match="line 2: .*no edges"):
+            rl.load_alist(path)
+        assert main(["girth-profile", "--matrix", str(path), "--widths", "3"]) == 3
 
 
 class TestAlistReference:
@@ -546,6 +561,9 @@ class TestAlistReference:
     # disagree: the same length as the check, then shorter
     @example(text=b"3 2\n2 2\n1 1 2\n2 2\n1\n2\n1 2\n2 3\n2 3\n")
     @example(text=b"3 2\n2 3\n2 2 2\n2 3\n1 2\n1 2\n1 2\n1 2\n1 2 3\n")
+    # no edges; no more columns than checks
+    @example(text=b"3 2\n0 0\n0 0 0\n0 0\n0\n0\n0\n0\n0\n")
+    @example(text=b"2 2\n1 1\n1 1\n1 1\n1\n2\n1\n2\n")
     def test_matches_reference(self, path, text):
         path.write_bytes(text)
         assert loaded(rl.load_alist, path) == loaded(load_alist_reference, path)
