@@ -21,12 +21,11 @@ from .adapt import (
     distillation_efficiency,
     effective_rate,
     load_table_csv,
-    mother_rate,
     reconciliation_efficiency,
     save_table_csv,
     select_width,
 )
-from .charact import FerEstimate, build_table, estimate_fer, matrix_digest, wilson_interval
+from .charact import FerEstimate, build_table, matrix_digest, wilson_interval
 from .codec import (
     DecodeResult,
     DecoderConfig,
@@ -52,7 +51,6 @@ from .tanner import (
     DegreeProfile,
     MatrixPrefix,
     ParityMatrix,
-    girth_of_prefix,
     girth_profile,
     load_alist,
     peg_construct,
@@ -84,15 +82,12 @@ __all__ = [
     "effective_rate",
     "encode_syndrome",
     "encode_syndrome_batch",
-    "estimate_fer",
     "frame_level_check",
-    "girth_of_prefix",
     "girth_profile",
     "link_observables",
     "load_alist",
     "load_table_csv",
     "matrix_digest",
-    "mother_rate",
     "peg_construct",
     "read_key_blocks",
     "reconciliation_efficiency",

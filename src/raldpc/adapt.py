@@ -29,13 +29,6 @@ def binary_entropy(e: float) -> float:
     return -e * math.log2(e) - (1.0 - e) * math.log2(1.0 - e)
 
 
-def mother_rate(num_checks: int, num_vars: int) -> float:
-    """Code rate 1 - m/n of the full mother matrix."""
-    if not 0 < num_checks < num_vars:
-        raise ValueError("need 0 < num_checks < num_vars")
-    return 1.0 - num_checks / num_vars
-
-
 @dataclass(frozen=True)
 class RatePoint:
     width: int
@@ -104,12 +97,12 @@ _CSV_HEADER = ["error_rate", "width", "alpha", "fer", "ci_low", "ci_high", "work
 class DistillationTable:
     """Distillation efficiency per (error rate, prefix width).
 
-    ``alpha``/``fer``/``ci_low``/``ci_high`` are (rates, widths) arrays with
-    NaN in ``alpha`` marking cells where the FER was too close to 1 to be
-    useful.  ``working`` holds, per error rate, the width with the best
-    present efficiency (ties to the larger width), or None.  ``undetected``
-    optionally counts each cell's undetected wrong-block convergences; the
-    CSV does not carry it, so a loaded table has None.
+    ``alpha``/``fer``/``ci_low``/``ci_high`` are (rates, widths) arrays in
+    [0, 1], with NaN in ``alpha`` marking cells where the FER was too close
+    to 1 to be useful.  ``working`` holds, per error rate, the width with
+    the best present efficiency (ties to the larger width), or None.
+    ``undetected`` optionally counts each cell's undetected wrong-block
+    convergences; the CSV does not carry it, so a loaded table has None.
     """
 
     error_rates: np.ndarray  # increasing
@@ -138,7 +131,10 @@ class DistillationTable:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
-            if name != "alpha" and not np.all((arr >= 0) & (arr <= 1)):
+            inside = (arr >= 0) & (arr <= 1)
+            if name == "alpha":
+                inside |= np.isnan(arr)  # an absent cell
+            if not np.all(inside):
                 raise ValueError(f"{name} must lie in [0, 1]")
             setattr(self, name, arr)
         if not np.all((self.ci_low <= self.fer) & (self.fer <= self.ci_high)):
@@ -229,7 +225,8 @@ def save_table_csv(table: DistillationTable, path) -> None:
 
 
 def load_table_csv(path) -> DistillationTable:
-    """Read a table CSV; duplicate or missing (rate, width) cells, a working
+    """Read a table CSV; duplicate or missing (rate, width) cells, a rate
+    off the 0.001 grid, an alpha of nan or inf, a working
     flag other than 0/1, and a rate with more than one working width, are
     refused."""
     cells = {}
@@ -248,6 +245,7 @@ def load_table_csv(path) -> DistillationTable:
     if not cells:
         raise ValueError(f"{path}: empty table")
     rates = sorted({e for e, _ in cells})
+    _check_csv_rates(rates)
     widths = sorted({w for _, w in cells}, reverse=True)
     if len(cells) != len(rates) * len(widths):
         missing = len(rates) * len(widths) - len(cells)
@@ -263,6 +261,8 @@ def load_table_csv(path) -> DistillationTable:
     for (e, w), row in cells.items():
         i, j = ridx[e], widx[w]
         alpha[i, j] = float(row[2]) if row[2] != "" else np.nan
+        if row[2] != "" and not math.isfinite(alpha[i, j]):
+            raise ValueError(f"{path}: alpha {row[2]!r} must be empty or finite")
         fer[i, j] = float(row[3])
         lo[i, j] = float(row[4])
         hi[i, j] = float(row[5])

@@ -15,12 +15,10 @@ order or in parallel without changing the result.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__
 from .adapt import DistillationTable, distillation_efficiency, effective_rate
 from .codec import _LLR_CLAMP, DecoderConfig, _decode_batch, encode_syndrome_batch
 from .tanner import MatrixPrefix, ParityMatrix
@@ -99,26 +97,6 @@ def _run_cell(
         ci_high=hi,
         undetected=undetected,
     )
-
-
-def estimate_fer(
-    prefix: MatrixPrefix,
-    p: float,
-    num_frames: int,
-    seed: int,
-    max_iterations: int = 60,
-) -> FerEstimate:
-    """Monte-Carlo FER of a prefix over a BSC(p), deterministic given seed.
-
-    A frame fails when decoding does not converge or converges to a block
-    different from the one that was encoded.  The decoder prior is set to
-    the true crossover probability p.
-    """
-    if not 0.0 < p < 0.5:
-        raise ValueError("crossover probability must lie in (0, 0.5)")
-    if num_frames < 1:
-        raise ValueError("num_frames must be >= 1")
-    return _run_cell(prefix, p, num_frames, (seed,), max_iterations)
 
 
 # cells with Wilson ci_low at or above this are hopeless for the argmax:
@@ -217,19 +195,15 @@ def matrix_digest(matrix: ParityMatrix) -> str:
 
 
 def run_manifest(
-    command: str,
     matrix: ParityMatrix,
     widths,
     error_grid,
     frames_per_point: int,
     seed: int,
     max_iterations: int,
-    extra: dict | None = None,
 ) -> dict:
-    """Everything needed to reproduce a characterization byte for byte."""
-    man = {
-        "command": command,
-        "version": __version__,
+    """The characterize manifest's fields that reproduce a table byte for byte."""
+    return {
         "matrix_sha256": matrix_digest(matrix),
         "matrix_shape": [matrix.num_checks, matrix.num_vars],
         "widths": [int(w) for w in widths],
@@ -241,12 +215,3 @@ def run_manifest(
             "llr_clamp": _LLR_CLAMP,
         },
     }
-    if extra:
-        man.update(extra)
-    return man
-
-
-def write_manifest(manifest: dict, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .adapt import _check_csv_rates, load_table_csv, save_table_csv
-from .charact import build_table, matrix_digest, run_manifest, write_manifest
+from .charact import build_table, matrix_digest, run_manifest
 from .codec import (
     DecoderConfig,
     decode,
@@ -67,11 +67,11 @@ def _file_sha256(path) -> str:
 def _write_manifest(command: str, out: str, fields: dict) -> None:
     """Write ``<out>.manifest.json``: ``fields`` with the command, the
     package version and the SHA-256 of the file ``out``."""
-    write_manifest(
-        {"command": command, "version": __version__, **fields,
-         "out_sha256": _file_sha256(out)},
-        out + ".manifest.json",
-    )
+    manifest = {"command": command, "version": __version__, **fields,
+                "out_sha256": _file_sha256(out)}
+    with open(out + ".manifest.json", "w", encoding="ascii") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_range(spec: str, name: str) -> list[float]:
@@ -152,21 +152,13 @@ def _cmd_characterize(args) -> int:
         threads=args.threads,
     )
     save_table_csv(table, args.out)
-    man = run_manifest(
-        "characterize",
-        matrix,
-        widths,
-        grid,
-        args.frames,
-        args.seed,
-        args.max_iterations,
-        extra={
-            "matrix_file": args.matrix,
-            "matrix_file_sha256": _file_sha256(args.matrix),
-            "undetected_total": int(table.undetected.sum()),
-        },
-    )
-    _write_manifest("characterize", args.out, man)
+    _write_manifest("characterize", args.out, {
+        **run_manifest(matrix, widths, grid, args.frames, args.seed,
+                       args.max_iterations),
+        "matrix_file": args.matrix,
+        "matrix_file_sha256": _file_sha256(args.matrix),
+        "undetected_total": int(table.undetected.sum()),
+    })
     print(f"wrote {args.out}: {len(grid)} error rates x {len(widths)} widths")
     return 0
 

@@ -19,8 +19,6 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 
-import numpy as np
-
 from .adapt import DistillationTable, NoFeasibleWidth
 from .charact import FerEstimate, _run_cell
 from .tanner import MatrixPrefix, ParityMatrix
@@ -100,9 +98,6 @@ class SimRow:
 class SimReport:
     params: LinkParams
     rows: list = field(default_factory=list)
-
-    def ratios(self) -> np.ndarray:
-        return np.asarray([r.secure_ratio for r in self.rows])
 
 
 def simulate_link(

@@ -338,11 +338,6 @@ def _padded_adjacency(matrix: ParityMatrix) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def girth_of_prefix(prefix: MatrixPrefix):
-    """Exact girth of the Tanner graph restricted to the prefix columns."""
-    return girth_profile(prefix.matrix, [prefix.width])[0][1]
-
-
 def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
     """Girth of each prefix width, widths strictly increasing in (m, n].
 

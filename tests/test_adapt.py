@@ -38,15 +38,14 @@ class TestBinaryEntropy:
 
 class TestRates:
     def test_mother_rate_values(self):
-        assert rl.mother_rate(1024, 5120) == pytest.approx(0.80, abs=1e-15)
-        assert rl.mother_rate(1024, 2048) == pytest.approx(0.50, abs=1e-15)
-        assert rl.mother_rate(1024, 3072) == pytest.approx(0.666667, abs=5e-7)
+        # the mother's rate is the rate of its full-width prefix
+        assert rl.effective_rate(1024, 5120).rate == pytest.approx(0.80, abs=1e-15)
+        assert rl.effective_rate(1024, 2048).rate == pytest.approx(0.50, abs=1e-15)
+        assert rl.effective_rate(1024, 3072).rate == pytest.approx(0.666667, abs=5e-7)
 
     def test_mother_rate_rejects(self):
         with pytest.raises(ValueError):
-            rl.mother_rate(1024, 1024)
-        with pytest.raises(ValueError):
-            rl.mother_rate(0, 10)
+            rl.effective_rate(1024, 1024)
 
     def test_effective_rate_values(self):
         assert rl.effective_rate(1024, 4096).rate == pytest.approx(0.75, abs=1e-15)
@@ -54,7 +53,7 @@ class TestRates:
         assert rl.effective_rate(1024, 1025).rate == pytest.approx(1 / 1025, abs=1e-12)
 
     def test_effective_rate_matches_mother_rate_at_full_width(self):
-        assert rl.effective_rate(1024, 5120).rate == rl.mother_rate(1024, 5120)
+        assert rl.effective_rate(1024, 5120).rate == 1.0 - 1024 / 5120
 
     def test_effective_rate_monotone_in_width(self):
         rates = [rl.effective_rate(1024, w).rate for w in range(1025, 5121, 128)]
@@ -358,6 +357,34 @@ class TestTableCsv:
         with pytest.raises(ValueError, match="missing"):
             rl.load_table_csv(path)
 
+    def test_line_prefix_is_refused_or_a_smaller_table(self, tmp_path):
+        # a prefix that ends on a whole cell grid loads: the CSV cannot tell
+        # it from a shorter grid, so only the manifest's out_sha256 shows it
+        fer = np.array([[0.0, 0.0], [0.2, 0.0], [1.0, 0.3]])
+        alpha = (1 - fer) * np.array([0.875, 0.75])
+        alpha[2, 0] = np.nan
+        working = DistillationTable.compute_working(alpha, [512, 256])
+        t = DistillationTable([0.010, 0.011, 0.012], [512, 256], alpha, fer,
+                              fer, fer, working)
+        path = tmp_path / "table.csv"
+        rl.save_table_csv(t, path)
+        whole = rl.load_table_csv(path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k in range(len(lines)):
+            path.write_text("".join(lines[:k]))
+            try:
+                part = rl.load_table_csv(path)
+            except ValueError:
+                continue
+            for e in part.error_rates:
+                for w in part.widths:
+                    i, j = part.cell(e, w)
+                    wi, wj = whole.cell(e, w)
+                    for name in ("alpha", "fer", "ci_low", "ci_high"):
+                        assert np.array_equal(getattr(part, name)[i, j],
+                                              getattr(whole, name)[wi, wj],
+                                              equal_nan=True)
+
     def test_loaded_table_has_no_undetected_counts(self, tmp_path):
         t = synthetic_table()
         assert t.undetected is None
@@ -418,8 +445,14 @@ class TestTablesThatLie:
             ("0.010,-5,0.5000,0.000000,0.000000,0.010000,1", "widths must be positive"),
             ("0.010,512,0.5000,1.500000,0.000000,1.000000,1", "fer must lie"),
             ("0.010,512,0.5000,0.500000,0.600000,0.700000,1", "contain its fer"),
+            ("0.010,512,inf,0.000000,0.000000,0.010000,1", "must be empty or finite"),
+            ("0.010,512,nan,0.995000,0.970000,1.000000,0", "must be empty or finite"),
+            ("0.010,512,-3,0.000000,0.000000,0.010000,1", "alpha must lie"),
+            ("0.010,512,1e3,0.000000,0.000000,0.010000,1", "alpha must lie"),
+            ("0.0105,512,0.5000,0.000000,0.000000,0.010000,1", "0.001 grid"),
         ],
-        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer"],
+        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer",
+             "alpha-inf", "alpha-nan", "alpha-negative", "alpha-1e3", "rate-0.0105"],
     )
     def test_refused_on_load(self, tmp_path, row, match):
         with pytest.raises(ValueError, match=match):
@@ -435,6 +468,21 @@ class TestTablesThatLie:
         fields[name][0, 0] = value
         with pytest.raises(ValueError, match=f"{name} must lie"):
             DistillationTable(working=t.working, **fields)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, -0.1, 1.001])
+    def test_refuses_alpha_out_of_range(self, value):
+        t = synthetic_table()
+        alpha = t.alpha.copy()
+        alpha[1, 1] = value  # not a working cell
+        with pytest.raises(ValueError, match="alpha must lie"):
+            DistillationTable(t.error_rates, t.widths, alpha, t.fer, t.ci_low,
+                              t.ci_high, t.working)
+
+    def test_alpha_of_one_loads(self, tmp_path):
+        # a rate within 5e-5 of 1 is written as 1.0000
+        row = "0.010,512,1.0000,0.000000,0.000000,0.010000,1"
+        table = rl.load_table_csv(one_cell_table_csv(tmp_path / "t.csv", row))
+        assert table.alpha[0, 0] == 1.0
 
     @pytest.mark.parametrize("i, rate", [(0, 0.0), (-1, 0.5), (-1, np.inf)])
     def test_refuses_rate_at_or_past_the_bounds(self, i, rate):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import raldpc as rl
-from raldpc.charact import run_manifest, wilson_interval, write_manifest
+from raldpc.charact import _run_cell, wilson_interval
 
 
 @pytest.fixture(scope="module")
@@ -35,35 +35,37 @@ class TestWilson:
 
 
 class TestEstimateFer:
+    """``_run_cell`` with one seed and no early stop: one FER cell."""
+
     def test_vanishing_error_rate_gives_zero_fer(self, small_matrix):
         pre = rl.MatrixPrefix(small_matrix, 320)
-        est = rl.estimate_fer(pre, 1e-9, 100, seed=1)
+        est = _run_cell(pre, 1e-9, 100, (1,), 60)
         assert est.point_estimate == 0.0
         assert est.failures == 0 and est.frames_run == 100
         assert est.undetected == 0
 
     def test_overwhelming_noise_gives_full_fer(self, small_matrix):
         pre = rl.MatrixPrefix(small_matrix, 320)
-        est = rl.estimate_fer(pre, 0.3, 50, seed=2)
+        est = _run_cell(pre, 0.3, 50, (2,), 60)
         assert est.point_estimate == 1.0
 
     def test_deterministic(self, small_matrix):
         pre = rl.MatrixPrefix(small_matrix, 320)
-        a = rl.estimate_fer(pre, 0.02, 150, seed=3)
-        b = rl.estimate_fer(pre, 0.02, 150, seed=3)
+        a = _run_cell(pre, 0.02, 150, (3,), 60)
+        b = _run_cell(pre, 0.02, 150, (3,), 60)
         assert a == b
 
     def test_ci_brackets_estimate(self, small_matrix):
         pre = rl.MatrixPrefix(small_matrix, 256)
-        est = rl.estimate_fer(pre, 0.05, 200, seed=4)
+        est = _run_cell(pre, 0.05, 200, (4,), 60)
         assert est.ci_low <= est.point_estimate <= est.ci_high
 
     def test_validation(self, small_matrix):
         pre = rl.MatrixPrefix(small_matrix, 320)
         with pytest.raises(ValueError):
-            rl.estimate_fer(pre, 0.6, 10, seed=0)
+            _run_cell(pre, 0.6, 10, (0,), 60)
         with pytest.raises(ValueError):
-            rl.estimate_fer(pre, 0.02, 0, seed=0)
+            _run_cell(pre, 0.02, 0, (0,), 60)
 
 
 class TestBuildTable:
@@ -158,16 +160,3 @@ class TestBuildTable:
         with pytest.raises(ValueError):
             rl.build_table(small_matrix, (64,), (0.01,), 10, 0)
 
-
-class TestManifest:
-    def test_fields_and_determinism(self, small_matrix, tmp_path):
-        man = run_manifest(
-            "characterize", small_matrix, (320,), (0.01, 0.02), 100, 9, 60
-        )
-        assert man["matrix_sha256"] == rl.matrix_digest(small_matrix)
-        assert man["frames_per_point"] == 100 and man["seed"] == 9
-        assert man["decoder"] == {"llr_clamp": 25.0, "max_iterations": 60}
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        write_manifest(man, p1)
-        write_manifest(man, p2)
-        assert p1.read_bytes() == p2.read_bytes()

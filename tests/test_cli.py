@@ -369,8 +369,11 @@ class TestSimulateLink:
             "0.010,-5,0.5000,0.000000,0.000000,0.010000,1",
             "0.010,512,0.5000,1.500000,0.000000,1.000000,1",
             "0.010,512,0.5000,0.500000,0.600000,0.700000,1",
+            "0.010,512,inf,0.000000,0.000000,0.010000,1",
+            "0.0105,512,0.5000,0.000000,0.000000,0.010000,1",
         ],
-        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer"],
+        ids=["rate-nan", "rate-0.7", "width-negative", "fer-1.5", "interval-misses-fer",
+             "alpha-inf", "rate-0.0105"],
     )
     def test_table_that_lies_is_parse_error(self, tmp_path, row):
         table = tmp_path / "table.csv"
@@ -456,6 +459,26 @@ class TestManifests:
             assert man["command"] == command and man["out_sha256"] == sha(out)
             manifests.append(text)
         assert manifests[0] == manifests[1]
+
+    def test_characterize_fields(self, small_alist, inputs, tmp_path):
+        args = ["characterize"] + command_args("characterize", small_alist, inputs)
+        texts = []
+        for out in (tmp_path / "a.csv", tmp_path / "b.csv"):
+            assert main(args + ["--max-iterations", "60", "--seed", "9",
+                                "--out", str(out)]) == 0
+            texts.append((tmp_path / (out.name + ".manifest.json")).read_bytes())
+        assert texts[0] == texts[1]
+        man = json.loads(texts[0])
+        assert set(man) == {
+            "command", "version", "matrix_sha256", "matrix_shape", "widths",
+            "error_grid", "frames_per_point", "seed", "decoder", "matrix_file",
+            "matrix_file_sha256", "undetected_total", "out_sha256",
+        }
+        assert man["matrix_sha256"] == rl.matrix_digest(rl.load_alist(small_alist))
+        assert man["matrix_file"] == str(small_alist)
+        assert man["matrix_file_sha256"] == sha(small_alist)
+        assert man["frames_per_point"] == 8 and man["seed"] == 9
+        assert man["decoder"] == {"llr_clamp": 25.0, "max_iterations": 60}
 
     def test_girth_profile_to_stdout_writes_none(
         self, small_alist, tmp_path, monkeypatch

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
+from raldpc.charact import _run_cell
 from raldpc.codec import (
     _FRAME_BLOCK,
     _LLR_CLAMP,
@@ -553,7 +554,7 @@ class TestHighNoiseFullWidth:
     def test_p30_defeats_full_width(self, mother_matrix):
         # far beyond code capability: expect universal failure
         prefix = rl.MatrixPrefix(mother_matrix, 5120)
-        est = rl.estimate_fer(prefix, 0.3, 100, seed=12, max_iterations=20)
+        est = _run_cell(prefix, 0.3, 100, (12,), 20)
         assert est.point_estimate == 1.0
 
 

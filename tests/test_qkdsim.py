@@ -151,7 +151,7 @@ class TestAbsentRowFallThrough:
 class TestSimulateLink:
     def test_ladder_structure(self):
         report = rl.simulate_link(rl.LinkParams(), ladder_table(), np.arange(0, 121, 5))
-        ratios = report.ratios()
+        ratios = [r.secure_ratio for r in report.rows]
         assert all(a >= b - 1e-12 for a, b in zip(ratios, ratios[1:]))
         drops = sum(1 for a, b in zip(ratios, ratios[1:]) if a - b > 0.02)
         assert drops >= 2

@@ -234,23 +234,23 @@ class TestGirth:
     def test_shared_check_pair_gives_four(self):
         # columns 0 and 1 both hit checks {0,1}
         m = small_matrix([[0, 1], [0, 1], [1, 2], [0, 2]], m=3)
-        assert rl.girth_of_prefix(rl.MatrixPrefix(m, 4)) == 4
+        assert rl.girth_profile(m, [4]) == [(4, 4)]
 
     def test_forest_is_acyclic(self):
         # a path graph: no column pair shares more than one check
         tree = small_matrix([[0], [1], [0, 1]], m=2)
-        assert rl.girth_of_prefix(rl.MatrixPrefix(tree, 3)) == ACYCLIC
+        assert rl.girth_profile(tree, [3]) == [(3, ACYCLIC)]
 
     def test_six_cycle(self):
         # v0-c0-v1-c1-v2-c2-v0, no shared pair anywhere
         m = small_matrix([[0, 2], [0, 1], [1, 2], [0]], m=3)
-        assert rl.girth_of_prefix(rl.MatrixPrefix(m, 4)) == 6
+        assert rl.girth_profile(m, [4]) == [(4, 6)]
 
     def test_prefix_masks_later_columns(self):
         # the only 4-cycle lives in the last column
         m = small_matrix([[0, 2], [0, 1], [1, 2], [0], [0, 2]], m=3)
-        assert rl.girth_of_prefix(rl.MatrixPrefix(m, 5)) == 4
-        assert rl.girth_of_prefix(rl.MatrixPrefix(m, 4)) == 6
+        assert rl.girth_profile(m, [5]) == [(5, 4)]
+        assert rl.girth_profile(m, [4]) == [(4, 6)]
 
     def test_girth_even_and_monotone_on_random_peg(self):
         for seed in range(5):
@@ -271,7 +271,7 @@ class TestGirth:
             st.sets(st.integers(m + 1, n), min_size=1, max_size=5)
         ))
         assert rl.girth_profile(matrix, widths) == [
-            (w, rl.girth_of_prefix(rl.MatrixPrefix(matrix, w))) for w in widths
+            rl.girth_profile(matrix, [w])[0] for w in widths
         ]
 
     def test_girth_profile_validation(self):
@@ -531,6 +531,16 @@ class TestAlistRoundTrip:
         code = main(["girth-profile", "--matrix", str(path), "--widths",
                      str(matrix.num_vars), "--out", str(path.with_suffix(".csv"))])
         assert code in (0, 3)
+
+    def test_every_line_prefix_is_refused(self, tmp_path):
+        m = rl.peg_construct(12, 30, rl.DegreeProfile.interleaved_4_5(30), seed=2)
+        path = tmp_path / "m.alist"
+        rl.save_alist(m, path)
+        lines = path.read_text().splitlines(keepends=True)
+        for k in range(len(lines)):
+            path.write_text("".join(lines[:k]))
+            with pytest.raises(AlistParseError):
+                rl.load_alist(path)
 
     def test_matrix_without_edges_is_refused(self, tmp_path):
         empty = small_matrix([[], [], []], m=2)
