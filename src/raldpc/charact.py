@@ -105,13 +105,31 @@ _ABORT_CI_LOW = 0.95
 _ABSENT_FER = 0.99
 
 
-def _cell_task(args):
-    matrix, width, p, rate_idx, frames, seed, max_iterations = args
-    prefix = MatrixPrefix(matrix, width)
+def _cell(prefixes: dict, matrix: ParityMatrix, task):
+    """One cell of ``build_table``, on the width's prefix in ``prefixes``.
+
+    The prefix, and with it the decoder's edge layout, is built on the
+    width's first cell and reused by its other cells.
+    """
+    width, rate_idx, p, frames, seed, max_iterations = task
+    if width not in prefixes:
+        prefixes[width] = MatrixPrefix(matrix, width)
     est = _run_cell(
-        prefix, p, frames, (seed, width, rate_idx), max_iterations, _ABORT_CI_LOW
+        prefixes[width], p, frames, (seed, width, rate_idx), max_iterations, _ABORT_CI_LOW
     )
     return width, rate_idx, est
+
+
+# a --threads worker process's matrix and prefixes, set once per process
+_worker: dict = {}
+
+
+def _start_worker(matrix: ParityMatrix) -> None:
+    _worker.update(matrix=matrix, prefixes={})
+
+
+def _worker_cell(task):
+    return _cell(_worker["prefixes"], _worker["matrix"], task)
 
 
 def build_table(
@@ -143,7 +161,7 @@ def build_table(
         raise ValueError("error rates must lie in (0, 0.5)")
 
     tasks = [
-        (matrix, w, p, i, frames_per_point, seed, max_iterations)
+        (w, i, p, frames_per_point, seed, max_iterations)
         for w in widths
         for i, p in enumerate(grid)
     ]
@@ -151,10 +169,13 @@ def build_table(
         # imported on use: the module adds to every command's start-up time
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_cell_task, tasks))
+        with ProcessPoolExecutor(
+            max_workers=threads, initializer=_start_worker, initargs=(matrix,)
+        ) as ex:
+            results = list(ex.map(_worker_cell, tasks))
     else:
-        results = [_cell_task(t) for t in tasks]
+        prefixes = {}
+        results = [_cell(prefixes, matrix, t) for t in tasks]
 
     shape = (len(grid), len(widths))
     alpha = np.full(shape, np.nan)

@@ -146,42 +146,58 @@ class MatrixPrefix:
 
 
 class PrefixEdges:
-    """The decoder's edge layout of a prefix: edges in check-major order.
+    """The decoder's edge layout of a prefix: edges in check-slot order.
 
-    Check-major order sorts the prefix's edges by (check, variable).
-    ``edge_var_cm`` is each edge's variable.  ``present_checks`` lists the
-    checks with an edge in the prefix, ``check_first`` is where each one's
-    edges start (the ``reduceat`` segment starts) and ``edge_seg`` is, per
-    edge, the position of its check in ``present_checks``.
+    ``checks`` lists the checks with an edge in the prefix by degree,
+    highest first, ties in check order.  Slot k of a check is its k-th edge
+    in column order.  The edges are stored slot by slot: slot k holds one
+    edge of every check with more than k edges, in ``checks`` order, so it
+    is a run over a leading part of ``checks``.  The first ``full_slots``
+    slots (the least check degree) hold every check and form one
+    (full_slots, checks) block; ``partial_slots`` lists the (start, count)
+    of each later slot's run.  ``edge_var`` is each edge's variable.  The
+    decoder reduces over the slots (``codec`` module docstring).
 
     The decoder sums a variable's messages slot by slot: ``var_slots`` is a
     tuple of (columns, slots) groups, where row k of the (degree, columns)
-    table ``slots`` holds the check-major position of each column's k-th
-    edge.  ``columns`` is an index array, or ``slice(None)`` when the group
-    is every column.  Columns of degree 1 to 8 share one group, short
-    columns padded with ``num_edges`` (a message slot that is always 0);
-    each degree above 8 has a group of its own, since there the decoder's
-    addition order depends on the degree (``codec`` module docstring).
-    Columns of degree 0 are in no group.  Every index array is intp, so
-    ``np.take`` uses it without a conversion.
+    table ``slots`` holds the position of each column's k-th edge.
+    ``columns`` is an index array, or ``slice(None)`` when the group is
+    every column.  Columns of degree 1 to 8 share one group, short columns
+    padded with ``num_edges`` (a message slot that is always 0); each degree
+    above 8 has a group of its own, since there the decoder's addition order
+    depends on the degree (``codec`` module docstring).  Columns of degree 0
+    are in no group.  Every index array is intp, so ``np.take`` uses it
+    without a conversion.
     """
 
     def __init__(self, matrix: ParityMatrix, width: int):
         end = int(matrix.col_indptr[width])
         edge_check = matrix.col_indices[:end]
         degs = np.diff(matrix.col_indptr[: width + 1])
-        perm = np.argsort(edge_check, kind="stable")
+        check_deg = np.bincount(edge_check)
         self.num_edges = end
-        self.edge_var_cm = np.repeat(np.arange(width), degs)[perm]
-        counts = np.bincount(edge_check)
-        self.present_checks = np.flatnonzero(counts)
-        counts = counts[self.present_checks]
-        self.check_first = np.cumsum(counts) - counts
-        self.edge_seg = np.repeat(np.arange(counts.size), counts)
+        self.checks = np.argsort(-check_deg, kind="stable")[: np.count_nonzero(check_deg)]
+        # checks per slot: slot k holds the checks of degree > k
+        per_deg = np.bincount(check_deg[self.checks])
+        sizes = np.cumsum(per_deg[::-1])[::-1][1:]
+        starts = np.cumsum(sizes) - sizes
+        self.full_slots = int(np.count_nonzero(sizes == self.checks.size))
+        self.partial_slots = tuple(
+            zip(starts[self.full_slots :].tolist(), sizes[self.full_slots :].tolist())
+        )
 
-        cm_pos = np.empty(end, dtype=np.intp)  # check-major position of each edge
-        cm_pos[perm] = np.arange(end)
-        table = _pad_rows(degs, cm_pos, end)
+        # an edge's slot is its rank among its check's edges in column order
+        by_check = np.argsort(edge_check, kind="stable")
+        first = np.cumsum(check_deg) - check_deg
+        rank = np.empty(end, dtype=np.intp)
+        rank[by_check] = np.arange(end) - np.repeat(first, check_deg)
+        place = np.empty(check_deg.size, dtype=np.intp)  # index in ``checks``
+        place[self.checks] = np.arange(self.checks.size)
+        pos = starts[rank] + place[edge_check]  # each edge's position, column order
+        self.edge_var = np.empty(end, dtype=np.intp)
+        self.edge_var[pos] = np.repeat(np.arange(width), degs)
+
+        table = _pad_rows(degs, pos, end)
         high = sorted(set(degs[degs > 8].tolist()))  # np.unique imports numpy.ma
         groups = [np.flatnonzero((degs > 0) & (degs <= 8))]
         groups += [np.flatnonzero(degs == d) for d in high]

@@ -13,7 +13,7 @@ whose matrices and error messages ``raldpc.load_alist`` must reproduce.
 
 import numpy as np
 
-from raldpc import DegreeProfile, ParityMatrix, encode_syndrome_batch
+from raldpc import DegreeProfile, ParityMatrix
 from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
 from raldpc.tanner import (
     ACYCLIC,
@@ -236,9 +236,9 @@ def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
     ``first_root`` columns the result is the girth of the whole prefix.
     """
     m, w = prefix.num_checks, prefix.width
-    col_indptr, col_indices, _ = prefix_columns(prefix)
+    col_indptr, col_indices, edge_var = prefix_columns(prefix)
     row_indptr = np.concatenate(([0], np.cumsum(np.bincount(col_indices, minlength=m))))
-    row_indices = prefix.edges.edge_var_cm
+    row_indices = edge_var[np.argsort(col_indices, kind="stable")]
 
     visit_c = np.full(m, -1, dtype=np.int64)
     visit_v = np.full(w, -1, dtype=np.int64)
@@ -277,17 +277,40 @@ def _girth_from_roots(prefix: MatrixPrefix, first_root: int, best):
     return int(best) if best != ACYCLIC else ACYCLIC
 
 
-def _batch_syndrome_mismatch(
-    prefix: MatrixPrefix, hard: np.ndarray, target: np.ndarray
-) -> np.ndarray:
-    return np.count_nonzero(encode_syndrome_batch(prefix, hard) != target, axis=1)
+def check_major(prefix):
+    """(edge_var_cm, present_checks, check_first, inv_perm): the prefix's edges
+    sorted by (check, variable).
+
+    ``edge_var_cm`` is each check-major edge's variable, ``present_checks``
+    the checks with an edge, ``check_first`` where each one's edges start,
+    and ``inv_perm`` each column-order edge's check-major position.
+    """
+    _, edge_check, edge_var = prefix_columns(prefix)
+    perm = np.argsort(edge_check, kind="stable")
+    counts = np.bincount(edge_check, minlength=prefix.num_checks)
+    present = np.flatnonzero(counts)
+    check_first = (np.cumsum(counts) - counts)[present]
+    return edge_var[perm], present, check_first, np.argsort(perm, kind="stable")
+
+
+def _batch_syndrome_mismatch(prefix, cm, hard, target) -> np.ndarray:
+    """Per frame, the checks where the syndrome of ``hard`` misses ``target``.
+
+    The syndrome is the parity of each present check's key bits over the
+    check-major arrays ``cm``; an absent check's syndrome bit is 0.
+    """
+    edge_var_cm, present, check_first, _ = cm
+    syn = np.zeros((hard.shape[0], prefix.num_checks), dtype=np.uint8)
+    bits = np.take(hard, edge_var_cm, axis=1)
+    syn[:, present] = np.bitwise_xor.reduceat(bits, check_first, axis=1) & 1
+    return np.count_nonzero(syn != target, axis=1)
 
 
 def _gather(src: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     """out[:, k] = src[:, idx[k]], written C-contiguous into ``out``.
 
-    The indices come from ``PrefixEdges`` and are always in range; mode
-    "clip" only lets ``np.take`` write into ``out`` without a buffered copy.
+    The indices are always in range; mode "clip" only lets ``np.take`` write
+    into ``out`` without a buffered copy.
     """
     np.take(src, idx, axis=1, out=out, mode="clip")
 
@@ -302,27 +325,27 @@ def decode_batch_reference(
     """Decode a batch of independent frames with one flooding schedule.
 
     The one-pass kernel that ``raldpc.codec._decode_batch`` replaced: all
-    frames in one set of (frames, edges) buffers at full LLR scale, with
-    the candidate syndrome re-encoded by ``encode_syndrome_batch`` every
-    iteration.  Kept as the reference the blocked kernel must match on all
-    four outputs.
+    frames in one set of (frames, edges) buffers in check-major edge order
+    (``check_major``) at full LLR scale, with the candidate syndrome
+    re-encoded from those arrays every iteration.  Kept as the reference
+    the blocked kernel must match on all four outputs.
 
     Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
     unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
     When ``messages`` is a list, each iteration appends to it a copy of its
     (active frames, edges) check-to-variable messages, in check-major order.
     """
-    e = prefix.edges
     var_indptr, edge_check, _ = prefix_columns(prefix)
     edge_check_cm = np.sort(edge_check, kind="stable")
-    inv_perm = np.argsort(np.argsort(edge_check, kind="stable"), kind="stable")
+    cm = check_major(prefix)
+    edge_var_cm, present_checks, check_first, inv_perm = cm
     B = noisy.shape[0]
     p = config.crossover_prior
     prior_mag = min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
 
     hard = noisy.astype(np.uint8).copy()
     iters = np.zeros(B, dtype=np.int64)
-    unsat = _batch_syndrome_mismatch(prefix, hard, target)
+    unsat = _batch_syndrome_mismatch(prefix, cm, hard, target)
     active = np.flatnonzero(unsat > 0)
     if active.size == 0:
         return hard, unsat == 0, iters, unsat
@@ -332,10 +355,10 @@ def decode_batch_reference(
     # check-major edge messages, reused across iterations; the first n rows
     # hold the n frames still active
     v2c_buf, t_buf, c2v_buf, ext_buf = (
-        np.empty((active.size, e.num_edges)) for _ in range(4)
+        np.empty((active.size, edge_check.size)) for _ in range(4)
     )
     full_buf = np.ones((active.size, prefix.num_checks))
-    _gather(prior, e.edge_var_cm, v2c_buf)
+    _gather(prior, edge_var_cm, v2c_buf)
 
     for it in range(1, config.max_iterations + 1):
         n = active.size
@@ -350,7 +373,7 @@ def decode_batch_reference(
         np.copysign(ext, t, out=t)
         # only present checks are refreshed here and gathered below, so the
         # other entries of the reused buffer never matter
-        full[:, e.present_checks] = np.multiply.reduceat(t, e.check_first, axis=1)
+        full[:, present_checks] = np.multiply.reduceat(t, check_first, axis=1)
         np.multiply(full, sgn_syn, out=full)
         _gather(full, edge_check_cm, ext)
         np.divide(ext, t, out=ext)
@@ -364,12 +387,12 @@ def decode_batch_reference(
         # variable update and hard decision; ext holds c2v in variable order
         _gather(c2v, inv_perm, ext)
         post = prior + np.add.reduceat(ext, var_indptr[:-1], axis=1)
-        _gather(post, e.edge_var_cm, v2c)
+        _gather(post, edge_var_cm, v2c)
         np.subtract(v2c, c2v, out=v2c)
         np.clip(v2c, -_LLR_CLAMP, _LLR_CLAMP, out=v2c)
         cand = (post < 0).astype(np.uint8)
 
-        miss = _batch_syndrome_mismatch(prefix, cand, target[active])
+        miss = _batch_syndrome_mismatch(prefix, cm, cand, target[active])
         done = miss == 0
         if np.any(done):
             rows = active[done]

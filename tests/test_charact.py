@@ -138,8 +138,21 @@ class TestBuildTable:
     def test_threads_do_not_change_result(self, small_matrix):
         t1 = self.build(small_matrix, threads=1)
         t2 = self.build(small_matrix, threads=2)
-        assert np.allclose(t1.fer, t2.fer, equal_nan=True)
-        assert np.allclose(t1.alpha, t2.alpha, equal_nan=True)
+        for a in ("fer", "alpha", "ci_low", "ci_high", "undetected"):
+            assert np.array_equal(getattr(t1, a), getattr(t2, a), equal_nan=True)
+        assert t1.working == t2.working
+
+    def test_one_prefix_per_width(self, small_matrix, monkeypatch):
+        built = []
+
+        def counting(matrix, width):
+            built.append(width)
+            return edges(matrix, width)
+
+        edges = rl.tanner.PrefixEdges
+        monkeypatch.setattr("raldpc.tanner.PrefixEdges", counting)
+        self.build(small_matrix, threads=1)
+        assert sorted(built) == sorted(self.WIDTHS)
 
     def test_absent_cells_at_hopeless_noise(self, small_matrix):
         t = rl.build_table(

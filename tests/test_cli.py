@@ -1,5 +1,8 @@
 import hashlib
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +26,26 @@ def small_alist(tmp_path_factory):
     m = rl.peg_construct(64, 320, rl.DegreeProfile.interleaved_4_5(320), seed=17)
     rl.save_alist(m, path)
     return path
+
+
+def test_import_loads_no_pool_or_masked_arrays():
+    # every command pays for what ``import raldpc.cli`` loads: the process
+    # pool is imported on use, and np.unique, which would pull in numpy.ma,
+    # stays out of the decoder's edge layout too (built with the table)
+    src = pathlib.Path(rl.__file__).parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import raldpc.cli; "
+        "mods = ('concurrent.futures', 'multiprocessing', 'numpy.ma'); "
+        "print([m for m in mods if m in sys.modules]); "
+        "import raldpc as rl; "
+        "m = rl.peg_construct(16, 40, rl.DegreeProfile.interleaved_4_5(40), 1); "
+        "rl.build_table(m, (40, 30), (0.01, 0.05), 20, 1, 5); "
+        "print([m for m in mods if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
 
 
 class TestGenMatrix:

@@ -11,15 +11,18 @@ from raldpc.codec import (
     _FRAME_BLOCK,
     _LLR_CLAMP,
     DecoderConfig,
+    _check_reduce,
     _decode_batch,
     _slot_sum,
 )
 
 from _oracles import (
     CosetOracle,
+    check_major,
     decode_batch_reference,
     dense_parity,
     patterns_of_weight_at_most,
+    prefix_columns,
 )
 from _strategies import byte_edits
 
@@ -307,7 +310,7 @@ def frames(draw, prefix):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keys = rng.integers(0, 2, (batch, prefix.width), dtype=np.uint8)
     syn = rl.encode_syndrome_batch(prefix, keys)
-    absent = np.setdiff1d(np.arange(m), prefix.edges.present_checks)
+    absent = np.setdiff1d(np.arange(m), prefix_columns(prefix)[1])
     if absent.size:
         hostile = rng.random(batch) < 0.3
         syn[np.ix_(hostile, absent)] = rng.integers(0, 2, (hostile.sum(), absent.size))
@@ -391,6 +394,53 @@ class TestDecodeReference:
             assert np.array_equal(g, w)
         assert np.any(got[2] > 0)
 
+    @pytest.mark.parametrize("batch", [0, 1, 2 * _FRAME_BLOCK + 1])
+    @pytest.mark.parametrize("regular", [False, True])
+    def test_layout_edge_cases(self, regular, batch):
+        if regular:
+            # every check has 6 edges: the layout has no partial slot
+            cols = [sorted({j % 8, (j + 1) % 8, (j + 3) % 8}) for j in range(16)]
+            m = 8
+        else:
+            # check 5 has no edge, check 4 one edge, column 3 none
+            cols = [[0, 1, 2], [0, 1], [1, 2, 3], [], [0, 2, 3], [0, 4], [1, 3],
+                    [2, 3], [0, 1, 2, 3], [1, 2]]
+            m = 6
+        indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+        matrix = rl.ParityMatrix(m, len(cols), indptr, np.concatenate(cols))
+        prefix = rl.MatrixPrefix(matrix, len(cols))
+        assert (prefix.edges.partial_slots == ()) == regular
+        rng = np.random.default_rng(21)
+        keys = rng.integers(0, 2, (batch, len(cols)), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        if not regular:
+            syn[::3, 5] = 1
+        noisy = keys ^ (rng.random(keys.shape) < 0.15).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=0.1, max_iterations=9)
+        got = _decode_batch(prefix, noisy, syn, cfg)
+        # as in TestDegreeZeroColumns: the reference decodes degree-0
+        # columns first and is not asked for their bits
+        moved, order = zero_columns_first(prefix)
+        want = decode_batch_reference(moved, noisy[:, order], syn, cfg)
+        used = np.diff(indptr)[order] > 0
+        assert np.array_equal(got[0][:, order][:, used], want[0][:, used])
+        assert np.array_equal(got[0][:, order][:, ~used], noisy[:, order][:, ~used])
+        for g, w in zip(got[1:], want[1:]):
+            assert np.array_equal(g, w)
+
+    def test_prefix_without_edges(self):
+        # no check has an edge: the layout is empty, every frame keeps its
+        # received bits, and a target 1-bit is never met
+        prefix = rl.MatrixPrefix(rl.ParityMatrix(2, 5, [0, 0, 0, 0, 1, 3], [1, 0, 1]), 3)
+        assert prefix.edges.num_edges == 0 and prefix.edges.checks.size == 0
+        noisy = np.array([[1, 0, 1], [0, 1, 1]], np.uint8)
+        syn = np.array([[0, 0], [1, 1]], np.uint8)
+        assert not rl.encode_syndrome_batch(prefix, noisy).any()
+        hard, ok, iters, unsat = _decode_batch(prefix, noisy, syn, CFG)
+        assert np.array_equal(hard, noisy)
+        assert ok.tolist() == [True, False] and iters.tolist() == [0, CFG.max_iterations]
+        assert unsat.tolist() == [0, 2]
+
     def test_absent_checks_never_converge(self):
         # check 2 touches no column; a target 1-bit there stays unsatisfied
         bare = rl.ParityMatrix(
@@ -413,13 +463,34 @@ class TestDecodeReference:
         assert np.all(unsat[::2] >= 1)
 
 
+def check_major_positions(prefix):
+    """Each check-major edge's position in the kernel's slot layout.
+
+    Slot k of the layout is a run over ``checks[:count]``, so each position
+    has a check; sorted by (check, variable), the positions must list the
+    reference's check-major edges.
+    """
+    e = prefix.edges
+    counts = [e.checks.size] * e.full_slots + [count for _, count in e.partial_slots]
+    slot_check = np.concatenate([e.checks[:k] for k in counts] + [e.checks[:0]])
+    order = np.lexsort((e.edge_var, slot_check))
+    edge_var_cm, present, check_first, _ = check_major(prefix)
+    assert np.array_equal(e.edge_var[order], edge_var_cm)
+    assert np.array_equal(
+        slot_check[order], np.repeat(present, np.diff([*check_first, order.size]))
+    )
+    return order
+
+
 def check_messages(prefix, noisy, syn, cfg):
     """(kernel, reference): every iteration's check messages of both decoders.
 
     The kernel's are the half-LLR ``c2v`` buffers its variable update reads,
     recorded by a wrapper around ``codec._slot_sum``; with every column of
-    degree 1 to 8 there is one call per iteration.  A batch of at most
-    ``_FRAME_BLOCK`` frames is one block, so the rows match the reference's.
+    degree 1 to 8 there is one call per iteration.  They come back as
+    (frames, edges + 1) arrays in check-major order, the padding column
+    last.  A batch of at most ``_FRAME_BLOCK`` frames is one block, so the
+    rows match the reference's.
     """
     assert len(prefix.edges.var_slots) == 1 and noisy.shape[0] <= _FRAME_BLOCK
     got, want = [], []
@@ -434,7 +505,8 @@ def check_messages(prefix, noisy, syn, cfg):
     reference = decode_batch_reference(prefix, noisy, syn, cfg, messages=want)
     for g, w in zip(kernel, reference):
         assert np.array_equal(g, w)
-    return got, want
+    rows = np.append(check_major_positions(prefix), prefix.edges.num_edges)
+    return [g[rows].T for g in got], want
 
 
 class TestCheckMessages:
@@ -473,6 +545,22 @@ class TestCheckMessages:
         assert len(want) == 40
         assert np.abs(want[-1]).max() > 0.9 * _LLR_CLAMP
 
+    @pytest.mark.parametrize("p", [0.5 - 1e-13, 0.05])
+    def test_tanh_floor(self, p):
+        # at p = 0.5 - 1e-13 every prior message (about 2e-13) is under the
+        # tanh floor of 1e-12, so the check update must raise it there; at
+        # p = 0.05 no message is under it and the update skips the floor
+        degs = np.resize([3, 4, 2, 5], 40)
+        prefix = rl.MatrixPrefix(code_from_degrees(20, degs, np.arange(20), 19), 40)
+        rng = np.random.default_rng(20)
+        keys = rng.integers(0, 2, (_FRAME_BLOCK, 40), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        noisy = keys ^ (rng.random(keys.shape) < 0.05).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=p, max_iterations=8)
+        got, want = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want)
+        assert len(want) >= 1
+
 
 class TestSlotSum:
     """The variable update adds a column's messages in ``add.reduceat``'s
@@ -485,12 +573,48 @@ class TestSlotSum:
     def test_equals_add_reduceat(self, rows):
         rng = np.random.default_rng(16)
         for d in self.DEGREES:
-            # magnitudes over 26 decades make any change of order show
-            scale = np.exp(rng.uniform(-30, 30, (rows, 3 * d)))
-            x = rng.standard_normal((rows, 3 * d)) * scale
+            # magnitudes over 26 decades make any change of order show;
+            # ``rows`` frames, innermost as in the decoder
+            scale = np.exp(rng.uniform(-30, 30, (3 * d, rows)))
+            x = rng.standard_normal((3 * d, rows)) * scale
             slots = np.arange(3 * d).reshape(3, d).T.copy()
-            want = np.add.reduceat(x, [0, d, 2 * d], axis=1)
-            assert np.array_equal(_slot_sum(x, slots), want), d
+            # segment sums of each frame's row, as add.reduceat sums them
+            want = np.add.reduceat(np.ascontiguousarray(x.T), [0, d, 2 * d], axis=1)
+            assert np.array_equal(_slot_sum(x, slots), want.T), d
+
+
+class TestCheckReduce:
+    """The check update's product and the syndrome parity take each check's
+    edges in column order, left to right, as ``multiply.reduceat`` and
+    ``bitwise_xor.reduceat`` over its check-major segment do, bit for bit,
+    at every check degree from 1 to 40."""
+
+    @pytest.mark.parametrize("rows", [1, 3, _FRAME_BLOCK])
+    def test_equals_reduceat(self, rows):
+        rng = np.random.default_rng(22)
+        # check i has i edges, so every slot after the first is partial;
+        # checks 0 and 41 have none
+        H = np.zeros((42, 60), dtype=np.uint8)
+        for i in rng.permutation(np.arange(1, 41)):
+            H[i, rng.choice(60, i, replace=False)] = 1
+        col_rows = [np.flatnonzero(H[:, j]) for j in range(60)]
+        indptr = np.concatenate(([0], np.cumsum([c.size for c in col_rows])))
+        matrix = rl.ParityMatrix(42, 60, indptr, np.concatenate(col_rows))
+        prefix = rl.MatrixPrefix(matrix, 60)
+        e = prefix.edges
+        order = check_major_positions(prefix)
+        _, present, check_first, _ = check_major(prefix)
+        by_check = np.argsort(e.checks)
+        # magnitudes over 14 decades make any change of order show
+        x = rng.standard_normal((e.num_edges, rows)) * np.exp(
+            rng.uniform(-16, 16, (e.num_edges, rows))
+        )
+        bits = rng.integers(0, 2, (e.num_edges, rows), dtype=np.uint8)
+        for ufunc, a in ((np.multiply, x), (np.bitwise_xor, bits)):
+            cm = np.ascontiguousarray(a[order].T)  # (frames, edges), check-major
+            want = ufunc.reduceat(cm, check_first, axis=1)
+            assert np.array_equal(_check_reduce(ufunc, e, a)[by_check], want.T)
+        assert np.array_equal(e.checks[by_check], present)
 
 
 def zero_columns_first(prefix):

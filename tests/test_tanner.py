@@ -449,18 +449,30 @@ def loaded(load, path):
 
 
 def check_slot_tables(matrix, width):
-    """Every column of degree > 0 is in one ``var_slots`` group, whose
-    table lists the check-major positions of its edges in column order;
-    ``edge_seg`` points each check-major edge at its check's place in
-    ``present_checks``; and every index array the decoder gathers with is
-    intp."""
+    """The edges are stored slot by slot: ``checks`` is the checks with an
+    edge by degree, highest first, ties in check order; slot k is one run
+    over the checks with more than k edges, the first ``full_slots`` over
+    every check, the rest at ``partial_slots``; and each check's slots hold
+    its columns in increasing order.  Every column of degree > 0 is in one
+    ``var_slots`` group, whose table lists the positions of its edges in
+    column order; and every index array the decoder gathers with is intp."""
     e = rl.MatrixPrefix(matrix, width).edges
     degs = matrix.column_degrees()[:width]
-    edge_check_cm = np.sort(matrix.col_indices[: matrix.col_indptr[width]])
-    assert e.num_edges == edge_check_cm.size
-    assert np.array_equal(e.present_checks, np.unique(edge_check_cm))
-    assert np.array_equal(e.present_checks[e.edge_seg], edge_check_cm)
-    assert np.array_equal(e.edge_seg[e.check_first], np.arange(e.present_checks.size))
+    edge_check = matrix.col_indices[: matrix.col_indptr[width]]
+    by_check = np.argsort(edge_check, kind="stable")
+    assert e.num_edges == edge_check.size
+    assert np.array_equal(np.sort(e.checks), np.unique(edge_check))
+    d = np.bincount(edge_check, minlength=matrix.num_checks)[e.checks]
+    assert np.all((d[:-1] > d[1:]) | ((d[:-1] == d[1:]) & (e.checks[:-1] < e.checks[1:])))
+    sizes = [int(np.count_nonzero(d > k)) for k in range(d.max(initial=0))]
+    starts = np.cumsum(sizes, dtype=np.int64) - sizes
+    assert e.full_slots == (d.min() if d.size else 0)
+    assert list(e.partial_slots) == list(zip(starts, sizes))[e.full_slots:]
+    slot_check = np.concatenate([e.checks[:k] for k in sizes] + [e.checks[:0]])
+    # a stable sort by check lists each check's slots in order
+    order = np.argsort(slot_check, kind="stable")
+    assert np.array_equal(slot_check[order], edge_check[by_check])
+    assert np.array_equal(e.edge_var[order], np.repeat(np.arange(width), degs)[by_check])
     seen = []
     for cols, slots in e.var_slots:
         cols = np.arange(width)[cols]
@@ -469,12 +481,12 @@ def check_slot_tables(matrix, width):
         assert slots.dtype == np.intp
         for j, col_slots in zip(cols, slots.T):
             edges = col_slots[: degs[j]]
-            assert np.all(e.edge_var_cm[edges] == j)
-            assert np.array_equal(edge_check_cm[edges], matrix.column(j))
+            assert np.all(e.edge_var[edges] == j)
+            assert np.array_equal(slot_check[edges], matrix.column(j))
             assert np.all(col_slots[degs[j]:] == e.num_edges)
         seen.extend(cols)
     assert sorted(seen) == np.flatnonzero(degs).tolist()
-    for idx in (e.edge_var_cm, e.present_checks, e.check_first, e.edge_seg):
+    for idx in (e.edge_var, e.checks):
         assert idx.dtype == np.intp
     return e.var_slots
 
