@@ -166,11 +166,17 @@ def build_table(
         for i, p in enumerate(grid)
     ]
     if threads > 1:
-        # imported on use: the module adds to every command's start-up time
+        # imported on use: the modules add to every command's start-up time
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
+        # spawned, not forked: this process already runs numpy's BLAS
+        # threads, and a forked child of a threaded process can deadlock
         with ProcessPoolExecutor(
-            max_workers=threads, initializer=_start_worker, initargs=(matrix,)
+            max_workers=threads,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_start_worker,
+            initargs=(matrix,),
         ) as ex:
             results = list(ex.map(_worker_cell, tasks))
     else:

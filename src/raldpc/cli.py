@@ -21,12 +21,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .adapt import _check_csv_rates, load_table_csv, save_table_csv
+from .adapt import (
+    _check_csv_rates,
+    effective_rate,
+    load_table_csv,
+    reconciliation_efficiency,
+    save_table_csv,
+)
 from .charact import build_table, matrix_digest, run_manifest
 from .codec import (
     DecoderConfig,
-    decode,
-    encode_syndrome,
+    _decode_batch,
+    encode_syndrome_batch,
     read_key_blocks,
     write_key_blocks,
 )
@@ -175,18 +181,22 @@ def _cmd_reconcile(args) -> int:
     config = DecoderConfig(
         crossover_prior=args.p, max_iterations=args.max_iterations
     )
-    corrected = np.empty_like(bob)
-    failed = 0
-    for k in range(alice.shape[0]):
-        syndrome = encode_syndrome(prefix, alice[k])
-        res = decode(prefix, bob[k], syndrome, config)
-        corrected[k] = res.corrected_key
-        flips = int(np.sum(res.corrected_key != bob[k]))
-        if res.success:
-            print(f"block {k}: OK ({flips} flips, {res.iterations_used} iterations)")
-        else:
-            failed += 1
-            print(f"block {k}: FAIL ({res.unsatisfied_checks} unsatisfied checks)")
+    # the file's blocks are one batch: frames are independent, so each
+    # block's result is that of a single-block decode
+    syndromes = encode_syndrome_batch(prefix, alice)
+    corrected, ok, iters, unsat = _decode_batch(prefix, bob, syndromes, config)
+    flips = np.count_nonzero(corrected != bob, axis=1)
+    sys.stdout.write("".join(
+        f"block {k}: OK ({nf} flips, {it} iterations)\n" if good
+        else f"block {k}: FAIL ({nu} unsatisfied checks)\n"
+        for k, (good, nf, it, nu) in enumerate(
+            zip(ok.tolist(), flips.tolist(), iters.tolist(), unsat.tolist())
+        )
+    ))
+    failed = int(np.count_nonzero(~ok))
+    # blocks reported OK that converged to a key other than Alice's: the
+    # one-way protocol has no hash to catch them
+    undetected = int(np.count_nonzero(ok & np.any(corrected != alice, axis=1)))
     write_key_blocks(args.out, corrected)
     _write_manifest("reconcile", args.out, {
         "matrix_file_sha256": _file_sha256(args.matrix),
@@ -197,6 +207,13 @@ def _cmd_reconcile(args) -> int:
         "max_iterations": args.max_iterations,
         "blocks": int(alice.shape[0]),
         "failed_blocks": failed,
+        "undetected_blocks": undetected,
+        "iterations_mean": float(iters.mean()),
+        "iterations_max": int(iters.max()),
+        "disclosed_bits": int(alice.shape[0]) * matrix.num_checks,
+        "efficiency": reconciliation_efficiency(
+            effective_rate(matrix.num_checks, args.width).rate, args.p
+        ),
     })
     return 0 if failed == 0 else 1
 

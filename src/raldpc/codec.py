@@ -401,30 +401,58 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
     return hard, unsat == 0, iters, unsat
 
 
-def read_key_blocks(path, width: int | None = None) -> np.ndarray:
-    """Read ASCII '0'/'1' key blocks, one block per line, equal lengths.
+# the bytes ``str.strip()`` removes from an ASCII line
+_KEY_SPACE = np.zeros(256, dtype=np.bool_)
+_KEY_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 
-    When ``width`` is given every block is validated against it.
+
+def read_key_blocks(path, width: int | None = None) -> np.ndarray:
+    r"""Read ASCII '0'/'1' key blocks, one block per line, equal lengths.
+
+    Lines end at ``\n``, ``\r\n`` or a lone ``\r``.  Each line is stripped
+    of the whitespace ``str.strip()`` removes (space, ``\t``, ``\x0b``,
+    ``\x0c``, ``\x1c``-``\x1f``); blank lines are skipped, and any other
+    line must be all 0/1, or the error names its line number.  When
+    ``width`` is given every block is validated against it.
+
+    The file is parsed as one byte array: a block is a run of non-space
+    bytes, so a line holds at most one run, and in a valid file the digits,
+    in file order, are the blocks one after another.
     """
-    blocks = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            s = line.strip()
-            if not s:
-                continue
-            if set(s) - {"0", "1"}:
-                raise ValueError(f"{path}:{lineno}: key lines must be 0/1 strings")
-            blocks.append(np.frombuffer(s.encode(), dtype=np.uint8) - ord("0"))
-    if not blocks:
+    with open(path, "rb") as fh:
+        raw = np.frombuffer(fh.read(), dtype=np.uint8)
+    bits = raw - np.uint8(ord("0"))
+    digit = bits <= 1
+    pos = np.flatnonzero(~digit)
+    byte = raw[pos]
+    is_space = _KEY_SPACE[byte]
+    # a line ends at every \n and at every \r not followed by \n
+    after = raw[np.minimum(pos + 1, raw.size - 1)]
+    ends = pos[(byte == 10) | ((byte == 13) & (after != 10))]
+    space = pos[is_space]
+    starts = np.concatenate(([0], space + 1))
+    stops = np.concatenate((space, [raw.size]))
+    run = stops > starts
+    starts, stops = starts[run], stops[run]
+    line = np.searchsorted(ends, starts)  # 0-based line of each run
+    bad = np.concatenate((
+        line[1:][line[1:] == line[:-1]],  # a second run: whitespace inside
+        np.searchsorted(ends, pos[~is_space]),  # neither 0/1 nor space
+    ))
+    if bad.size:
+        raise ValueError(f"{path}:{int(bad.min()) + 1}: key lines must be 0/1 strings")
+    if not starts.size:
         raise ValueError(f"{path}: no key blocks found")
-    lengths = {b.size for b in blocks}
-    if len(lengths) != 1:
-        raise ValueError(f"{path}: blocks have inconsistent lengths {sorted(lengths)}")
-    if width is not None and blocks[0].size != width:
+    lengths = stops - starts
+    if np.any(lengths != lengths[0]):
         raise ValueError(
-            f"{path}: block length {blocks[0].size} does not match width {width}"
+            f"{path}: blocks have inconsistent lengths {sorted(set(lengths.tolist()))}"
         )
-    return np.vstack(blocks)
+    if width is not None and lengths[0] != width:
+        raise ValueError(
+            f"{path}: block length {int(lengths[0])} does not match width {width}"
+        )
+    return bits[digit].reshape(starts.size, -1)
 
 
 def write_key_blocks(path, blocks: np.ndarray) -> None:

@@ -7,8 +7,10 @@ completely independent of the message-passing decoder under test.
 is the per-prefix CSR breadth-first search that ``raldpc.girth_profile``
 must agree with, ``decode_batch_reference`` is the sum-product batch
 decoder that ``raldpc.codec._decode_batch`` must reproduce output for
-output, and ``load_alist_reference`` is the line-by-line alist loader
-whose matrices and error messages ``raldpc.load_alist`` must reproduce.
+output, ``load_alist_reference`` is the line-by-line alist loader
+whose matrices and error messages ``raldpc.load_alist`` must reproduce, and
+``read_key_blocks_reference`` is the text-mode, line-by-line key-file reader
+whose blocks and error messages ``raldpc.read_key_blocks`` must reproduce.
 """
 
 import numpy as np
@@ -501,3 +503,29 @@ def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
         if ents != row[row < n].tolist():
             raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
     return matrix
+
+
+def read_key_blocks_reference(path, width: int | None = None) -> np.ndarray:
+    """Read ASCII '0'/'1' key blocks, one block per line, equal lengths.
+
+    When ``width`` is given every block is validated against it.
+    """
+    blocks = []
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, 1):
+            s = line.strip()
+            if not s:
+                continue
+            if set(s) - {"0", "1"}:
+                raise ValueError(f"{path}:{lineno}: key lines must be 0/1 strings")
+            blocks.append(np.frombuffer(s.encode(), dtype=np.uint8) - ord("0"))
+    if not blocks:
+        raise ValueError(f"{path}: no key blocks found")
+    lengths = {b.size for b in blocks}
+    if len(lengths) != 1:
+        raise ValueError(f"{path}: blocks have inconsistent lengths {sorted(lengths)}")
+    if width is not None and blocks[0].size != width:
+        raise ValueError(
+            f"{path}: block length {blocks[0].size} does not match width {width}"
+        )
+    return np.vstack(blocks)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import raldpc as rl
 from raldpc import cli
 from raldpc.cli import main
+from raldpc.codec import _FRAME_BLOCK
 
 from _strategies import byte_edits
 
@@ -46,6 +47,21 @@ def test_import_loads_no_pool_or_masked_arrays():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def test_import_loads_no_process_modules():
+    # setup_s times a fresh ``import raldpc.cli``: no module of the process
+    # pool's packages may load with it
+    src = pathlib.Path(rl.__file__).parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import raldpc.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 class TestGenMatrix:
@@ -281,6 +297,105 @@ class TestReconcile:
              "--out", str(tmp_path / "c.txt")]
         )
         assert code == 2
+
+
+def reconcile_block_by_block(matrix, width, alice, bob, p, max_iterations):
+    """stdout lines and results of ``reconcile``, one ``decode`` per block."""
+    prefix = rl.MatrixPrefix(matrix, width)
+    config = rl.DecoderConfig(crossover_prior=p, max_iterations=max_iterations)
+    lines, results = [], []
+    for k in range(alice.shape[0]):
+        res = rl.decode(prefix, bob[k], rl.encode_syndrome(prefix, alice[k]), config)
+        flips = int(np.sum(res.corrected_key != bob[k]))
+        lines.append(
+            f"block {k}: OK ({flips} flips, {res.iterations_used} iterations)"
+            if res.success
+            else f"block {k}: FAIL ({res.unsatisfied_checks} unsatisfied checks)"
+        )
+        results.append(res)
+    return lines, results
+
+
+class TestReconcileBatch:
+    """``reconcile`` decodes a file as one batch; every output equals that
+    of a decode per block."""
+
+    def run(self, matrix_path, width, alice, bob, p, max_iterations, out, capsys):
+        a, b = out.parent / "alice.txt", out.parent / "bob.txt"
+        rl.write_key_blocks(a, alice)
+        rl.write_key_blocks(b, bob)
+        capsys.readouterr()
+        code = main(
+            ["reconcile", "--matrix", str(matrix_path), "--width", str(width),
+             "--alice", str(a), "--bob", str(b), "--p", str(p),
+             "--max-iterations", str(max_iterations), "--out", str(out)]
+        )
+        manifest = (out.parent / (out.name + ".manifest.json")).read_bytes()
+        return code, capsys.readouterr().out, manifest
+
+    def test_split_equals_block_by_block(self, small_alist, tmp_path, capsys):
+        # 11 blocks: two whole frame blocks and a partial one
+        assert 11 % _FRAME_BLOCK
+        rng = np.random.default_rng(12)
+        alice = rng.integers(0, 2, (11, 320), dtype=np.uint8)
+        noise = np.array([0.005, 0.2, 0.01, 0.0, 0.2, 0.01, 0.005, 0.2, 0.01, 0.0, 0.2])
+        bob = alice ^ (rng.random(alice.shape) < noise[:, None]).astype(np.uint8)
+        out = tmp_path / "c.txt"
+        code, stdout, manifest = self.run(small_alist, 320, alice, bob, 0.02, 15,
+                                          out, capsys)
+
+        lines, results = reconcile_block_by_block(
+            rl.load_alist(small_alist), 320, alice, bob, 0.02, 15
+        )
+        failed = sum(not r.success for r in results)
+        assert 0 < failed < 11
+        assert stdout == "".join(ln + "\n" for ln in lines)
+        rl.write_key_blocks(tmp_path / "want.txt",
+                            np.array([r.corrected_key for r in results]))
+        assert out.read_bytes() == (tmp_path / "want.txt").read_bytes()
+        assert code == 1
+        man = json.loads(manifest)
+        assert man["failed_blocks"] == failed
+        assert man["undetected_blocks"] == sum(
+            r.success and not np.array_equal(r.corrected_key, a)
+            for r, a in zip(results, alice)
+        )
+
+    def test_manifest_telemetry(self, tmp_path, capsys):
+        # a 3x5 code whose last column no check touches: flipping that bit
+        # keeps the syndrome, so the block converges to Bob's key at
+        # iteration 0, reported OK but not Alice's
+        matrix = rl.ParityMatrix(3, 5, [0, 2, 4, 6, 9, 9], [0, 1, 1, 2, 0, 2, 0, 1, 2])
+        path = tmp_path / "m.alist"
+        rl.save_alist(matrix, path)
+        rng = np.random.default_rng(13)
+        alice = rng.integers(0, 2, (8, 5), dtype=np.uint8)
+        bob = alice.copy()
+        bob[[1, 4], 4] ^= 1  # undetected
+        bob[[2, 5], 0] ^= 1  # one flip the decoder sees
+        bob[6, :3] ^= 1
+        mans = [
+            self.run(path, 5, alice, bob, 0.1, 7, tmp_path / name, capsys)[2]
+            for name in ("a.txt", "b.txt")
+        ]
+        assert mans[0] == mans[1]
+        man = json.loads(mans[0])
+
+        _, results = reconcile_block_by_block(matrix, 5, alice, bob, 0.1, 7)
+        iters = [r.iterations_used for r in results]
+        undetected = [
+            k for k, r in enumerate(results)
+            if r.success and not np.array_equal(r.corrected_key, alice[k])
+        ]
+        assert {1, 4} <= set(undetected)
+        assert max(iters) > 0
+        assert man["blocks"] == 8
+        assert man["failed_blocks"] == sum(not r.success for r in results)
+        assert man["undetected_blocks"] == len(undetected)
+        assert man["iterations_mean"] == np.mean(iters)
+        assert man["iterations_max"] == max(iters)
+        assert man["disclosed_bits"] == 8 * 3
+        assert man["efficiency"] == rl.reconciliation_efficiency(1 - 3 / 5, 0.1)
 
 
 class TestSimulateLink:

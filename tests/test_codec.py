@@ -23,6 +23,7 @@ from _oracles import (
     dense_parity,
     patterns_of_weight_at_most,
     prefix_columns,
+    read_key_blocks_reference,
 )
 from _strategies import byte_edits
 
@@ -690,10 +691,91 @@ def key_blocks(draw) -> np.ndarray:
     return (np.frombuffer(data, dtype=np.uint8) & 1).reshape(rows, width)
 
 
+# the ASCII whitespace str.strip() removes, other than line ends
+_STRIP = " \t\x0b\x0c\x1c\x1d\x1e\x1f"
+
+
+@st.composite
+def key_file_bytes(draw) -> tuple[bytes, int | None]:
+    r"""Key-file bytes and a width to read them at.
+
+    Lines end in ``\n``, ``\r\n`` or a lone ``\r``, the last one maybe in
+    none; blank lines and whitespace around lines are mixed in, and some
+    lines are ragged or carry a whitespace or non-0/1 byte inside.
+    """
+    width = draw(st.integers(1, 12))
+    space = st.text(st.sampled_from(_STRIP), max_size=3)
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(
+            ["block"] * 6 + ["blank", "ragged", "space-inside", "not-a-bit"]
+        ))
+        if kind == "blank":
+            body = draw(space)
+        else:
+            size = draw(st.integers(1, 12)) if kind == "ragged" else width
+            body = "".join(draw(st.lists(st.sampled_from("01"), min_size=size,
+                                         max_size=size)))
+            if kind in ("space-inside", "not-a-bit"):
+                at = draw(st.integers(1, len(body)))
+                byte = draw(st.sampled_from(
+                    _STRIP if kind == "space-inside"
+                    else ["2", "a", "-", "\x00", "\x7f", "\x80", "\x85", "\xa0", "\xff"]
+                ))
+                body = body[:at] + byte + body[at:]
+            body = draw(space) + body + draw(space)
+        lines.append(body + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")
+    read_width = draw(st.sampled_from([None, width, width + 1]))
+    return "".join(lines).encode("latin-1"), read_width
+
+
 class TestKeyBlockFiles:
     @pytest.fixture(scope="class")
     def path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("keys") / "keys.txt"
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=key_file_bytes())
+    def test_matches_reference(self, path, case):
+        # the same blocks, or the same ValueError text, as the text-mode
+        # line-by-line reader; a non-ASCII byte is refused by both, but the
+        # reference's UnicodeDecodeError names a position that depends on
+        # how text mode buffers the file
+        data, width = case
+        path.write_bytes(data)
+        try:
+            want = read_key_blocks_reference(path, width)
+        except UnicodeDecodeError:
+            with pytest.raises(ValueError):
+                rl.read_key_blocks(path, width)
+            return
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                rl.read_key_blocks(path, width)
+            assert str(got.value) == str(exc)
+            return
+        got = rl.read_key_blocks(path, width)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("data", [
+        b"", b"\n\r\n\r", b" \t\x0b\x0c\x1c\x1d\x1e\x1f\n",  # no blocks
+        b"01\r\r\n10\r", b"\x1f01 \r\n\n\t10\x0c",  # line ends, strip
+        b"01\n1 0\n", b"01\n1\x1c0\n", b"01\n\n10\r2\n",  # bad line 2 / 4
+        b"01\n010\n1\n", b"0110",  # ragged, width mismatch
+    ])
+    def test_matches_reference_on_edges(self, tmp_path, data):
+        path = tmp_path / "keys.txt"
+        path.write_bytes(data)
+        try:
+            want = read_key_blocks_reference(path, 2)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                rl.read_key_blocks(path, 2)
+            assert str(got.value) == str(exc)
+        else:
+            assert np.array_equal(rl.read_key_blocks(path, 2), want)
 
     @settings(max_examples=100, deadline=None)
     @given(blocks=key_blocks())
