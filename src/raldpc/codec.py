@@ -27,11 +27,35 @@ back as the posterior gathered to the edges (``edge_var``) minus the check
 message.  Every gather is ``np.take(..., axis=0)`` with an intp index, which
 copies a row of frames per edge.
 
+Two message buffers: ``tanh`` runs in place over v2c, whose value before
+it is never read again (the variable update rebuilds v2c from the
+posterior), and the division and ``arctanh`` write straight into c2v,
+whose old value is dead once v2c = posterior - c2v has been formed.  At
+iteration 0 that subtraction and v2c's clamp are identities (c2v is 0 and
+|prior| is within the clamp), and after the last iteration v2c is never
+read, so both run only in between.
+
 The tanh floor: each |tanh| is raised to ``_TANH_FLOOR`` so that the
 extrinsic division stays finite.  The floor's two passes (``maximum`` and
-``copysign``) are identities when no |tanh| is under it, so they run only
-when the least |tanh| is; a message that small comes with a prior or a
-check message near 0 (a crossover prior near 0.5, say).
+``copysign``) are identities when no |tanh| is under it, and so is the
+exact per-edge test for that, which is skipped unless some check's product
+is under 2 * ``_TANH_FLOOR``: every factor of a product is at most 1 in
+magnitude and rounding is monotone, so a product is never larger than any
+of its factors.  When the test floors a |tanh|, the product is taken again.
+A |tanh| that small comes with a prior or a check message near 0 (a
+crossover prior near 0.5, say); a product that small also comes with a
+check of high degree, where the test then finds nothing to floor.
+
+Clamps: no clip comes before ``arctanh``.  Each extrinsic ratio is at
+most 1 in magnitude, by the same monotone rounding, and, give or take
+rounding, at most tanh(_LLR_CLAMP / 2) = 1 - 2.8e-11, except at a check of
+degree 1, which divides its product by itself: exactly +-1, whose
+``arctanh`` is +-inf.  The c2v clamp maps that to +-_LLR_CLAMP / 2, as it
+maps the +-17.6 that a clip to +-(1 - 1e-15) before ``arctanh`` would give,
+so such a clip never changes a message.  At a check of degree 3 or more
+each ratio is at most tanh(_LLR_CLAMP / 2) squared, whose ``arctanh`` is
+12.2, so the c2v clamp runs only when some check has 1 or 2 edges
+(``full_slots`` < 3).
 
 Variable update: each column's check messages are summed slot by slot.
 Slot k of a ``PrefixEdges.var_slots`` table is every column's k-th edge,
@@ -51,9 +75,9 @@ padded table, and each degree above 8 has a table of its own.  A column
 that no check touches is in no table and keeps its prior.
 
 Frame blocks: a batch is decoded ``_FRAME_BLOCK`` frames at a time.  Each
-pass of an iteration streams one or two of the four message buffers, and a
-block's buffers (23040 edges x 4 frames x 8 B x 4 = 2.9 MB on the 1024x5120
-mother) fit in one core's 4 MiB L2, where a 64-frame batch's (47 MB) spill
+pass of an iteration streams one or both of the two message buffers, and a
+block's buffers (23040 edges x 4 frames x 8 B x 2 = 1.5 MB on the 1024x5120
+mother) fit in one core's 2 MiB L2, where a 64-frame batch's (24 MB) spill
 to memory on every pass.  Frames are independent, so blocking changes no
 result.  A frame that converges leaves the block: the frames still active
 are the leading (edges, frames) array of each flat buffer.
@@ -89,15 +113,21 @@ from .tanner import MatrixPrefix
 
 # |tanh| floor keeps the extrinsic division finite when a message is ~0
 _TANH_FLOOR = 1e-12
-_ATANH_CEIL = 1.0 - 1e-15
 # every prior and message LLR is clamped to +-_LLR_CLAMP
 _LLR_CLAMP = 25.0
-# frames per decoder block: a block's four (edges, frames) float64 message
-# buffers stay in a core's 4 MiB L2 (2.9 MB on a 1024x5120 mother).  On
-# five 64-frame cells of that mother, 2 to 8 frames per block decoded
-# within a few percent of each other, 1 and 16 about 10% slower and the
-# whole batch at once about 35% slower.
+# frames per decoder block: a block's two (edges, frames) float64 message
+# buffers stay in a core's 2 MiB L2 (1.5 MB on a 1024x5120 mother).  On
+# five 64-frame cells of that mother, with four buffers, 2 to 8 frames per
+# block decoded within a few percent of each other, 1 and 16 about 10%
+# slower and the whole batch at once about 35% slower; with two, 2 and 8
+# frames were still not faster than 4 (0.58 and 0.59 s of CPU against
+# 0.48 s, medians of 4 alternating runs).
 _FRAME_BLOCK = 4
+# keys per syndrome-encoding chunk: a chunk gathers an (edges, 16) uint8
+# array (0.37 MB at 23040 edges), not one for the whole batch.  Encoding
+# 256 keys of the 1024x5120 mother took 1.8 ms in chunks of 16, 2.1 ms in
+# 32 and 4.7 ms in one piece.
+_ENCODE_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -150,9 +180,14 @@ def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
     e = prefix.edges
     if keys.ndim != 2 or keys.shape[1] != prefix.width:
         raise ValueError(f"keys must have shape (B, {prefix.width})")
-    bits = np.take(np.ascontiguousarray(keys.T), e.edge_var, axis=0)
     out = np.zeros((keys.shape[0], prefix.num_checks), dtype=np.uint8)
-    out[:, e.checks] = (_check_reduce(np.bitwise_xor, e, bits) & 1).T
+    # a chunk's (edges, rows) key bits, not the whole batch's, are gathered
+    for s in range(0, keys.shape[0], _ENCODE_CHUNK):
+        chunk = np.ascontiguousarray(keys[s : s + _ENCODE_CHUNK].T)
+        bits = np.take(chunk, e.edge_var, axis=0)
+        out[s : s + _ENCODE_CHUNK, e.checks] = (
+            _check_reduce(np.bitwise_xor, e, bits) & 1
+        ).T
     return out
 
 
@@ -328,15 +363,17 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
     absent_miss = np.count_nonzero(target, axis=1) - np.count_nonzero(present, axis=0)
     sgn_syn = 1.0 - 2.0 * present.astype(np.float64)
     prior = post = half_prior * (1.0 - 2.0 * hard.T.astype(np.float64, order="C"))
-    # edge messages, reused across iterations: the first n frames' worth of
-    # each flat buffer is the (edges, n) array of the n frames still active.
-    # Iteration 0 only checks the received block: its posterior is the
-    # prior, whose sign is the received bit, and its c2v is 0, so v2c
-    # leaves it as the prior.
-    v2c_buf, t_buf, ext_buf = (np.empty(E * B) for _ in range(3))
+    # the two edge message buffers, reused across iterations: the first n
+    # frames' worth of each is the (edges, n) array of the n frames still
+    # active.  Iteration 0 only checks the received block: its posterior is
+    # the prior, whose sign is the received bit, and its c2v is 0, so v2c
+    # stays the prior.
+    v2c_buf = np.empty(E * B)
     # one more row, kept 0: the slot tables' padding reads it
     c2v_buf = np.zeros((E + 1) * B)
     neg_buf = np.empty(E * B, dtype=np.bool_)
+    # only a check of degree 1 or 2 can send a message past the clamp
+    clamp_c2v = e.full_slots < 3
     active = np.arange(B)
     _gather(prior, e.edge_var, v2c_buf.reshape(E, B))
 
@@ -344,29 +381,34 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
         n = active.size
         if n == 0:  # every frame converged, or the batch is empty
             break
-        v2c, t, ext, neg = (
-            a[: E * n].reshape(E, n) for a in (v2c_buf, t_buf, ext_buf, neg_buf)
-        )
+        v2c, neg = v2c_buf[: E * n].reshape(E, n), neg_buf[: E * n].reshape(E, n)
         c2v_pad = c2v_buf[: (E + 1) * n].reshape(E + 1, n)
         c2v_pad[E] = 0.0
         c2v = c2v_pad[:E]
         if it:
             # check update: extrinsic tanh product, syndrome sign folded in;
-            # tanh(v2c) of a half-LLR message is tanh(LLR / 2)
-            np.tanh(v2c, out=t)
-            np.abs(t, out=ext)
-            if ext.min(initial=1.0) < _TANH_FLOOR:  # |tanh| <= 1
-                np.maximum(ext, _TANH_FLOOR, out=ext)
-                np.copysign(ext, t, out=t)
-            prod = _check_reduce(np.multiply, e, t)
+            # tanh(v2c) of a half-LLR message is tanh(LLR / 2), taken in
+            # place, since v2c is rebuilt from the posterior below
+            np.tanh(v2c, out=v2c)
+            prod = _check_reduce(np.multiply, e, v2c)
+            if np.abs(prod).min(initial=1.0) < 2 * _TANH_FLOOR:
+                # some |tanh| may be under the floor; c2v is free until
+                # the division below
+                np.abs(v2c, out=c2v)
+                if c2v.min(initial=1.0) < _TANH_FLOOR:
+                    np.maximum(c2v, _TANH_FLOOR, out=c2v)
+                    np.copysign(c2v, v2c, out=v2c)
+                    prod = _check_reduce(np.multiply, e, v2c)
             prod *= sgn_syn
-            np.divide(prod, _full_block(e, t), out=_full_block(e, ext))
+            np.divide(prod, _full_block(e, v2c), out=_full_block(e, c2v))
             for start, count in e.partial_slots:
                 run = slice(start, start + count)
-                np.divide(prod[:count], t[run], out=ext[run])
-            np.clip(ext, -_ATANH_CEIL, _ATANH_CEIL, out=ext)
-            np.arctanh(ext, out=c2v)
-            np.clip(c2v, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=c2v)
+                np.divide(prod[:count], v2c[run], out=c2v[run])
+            # a degree-1 check divides its product by itself: +-1, +-inf
+            with np.errstate(divide="ignore"):
+                np.arctanh(c2v, out=c2v)
+            if clamp_c2v:
+                np.clip(c2v, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=c2v)
 
             # variable update: each column's check messages, slot by slot;
             # a column no check touches keeps its prior
@@ -375,10 +417,12 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
                 post[cols] += _slot_sum(c2v_pad, slots)
             _gather(post, e.edge_var, v2c)
 
-        # v2c holds the posterior per edge until c2v is subtracted
+        # v2c holds the posterior per edge until c2v is subtracted; that is
+        # an identity at iteration 0, and dead after the last one
         miss = _syndrome_mismatch(e, v2c, neg, present, absent_miss)
-        np.subtract(v2c, c2v, out=v2c)
-        np.clip(v2c, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=v2c)
+        if 0 < it < max_iterations:
+            np.subtract(v2c, c2v, out=v2c)
+            np.clip(v2c, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=v2c)
 
         done = miss == 0
         if np.any(done):

@@ -16,7 +16,7 @@ whose blocks and error messages ``raldpc.read_key_blocks`` must reproduce.
 import numpy as np
 
 from raldpc import DegreeProfile, ParityMatrix
-from raldpc.codec import _ATANH_CEIL, _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
+from raldpc.codec import _LLR_CLAMP, _TANH_FLOOR, DecoderConfig
 from raldpc.tanner import (
     ACYCLIC,
     AlistParseError,
@@ -24,6 +24,10 @@ from raldpc.tanner import (
     _ints,
     _padded_adjacency,
 )
+
+# the reference's clip before ``arctanh``, which ``raldpc.codec`` drops
+# because it never changes a message (its module docstring)
+_ATANH_CEIL = 1.0 - 1e-15
 
 
 def prefix_columns(prefix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

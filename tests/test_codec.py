@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 import raldpc as rl
 from raldpc.charact import _run_cell
 from raldpc.codec import (
+    _ENCODE_CHUNK,
     _FRAME_BLOCK,
     _LLR_CLAMP,
+    _TANH_FLOOR,
     DecoderConfig,
     _check_reduce,
     _decode_batch,
@@ -73,6 +75,14 @@ class TestEncode:
                 ref = H.astype(np.int64) @ keys[k] % 2
                 assert np.array_equal(batch[k], ref)
                 assert np.array_equal(rl.encode_syndrome(prefix, keys[k]), ref)
+
+    def test_chunked_batch_matches_rows(self, small_prefix):
+        # two whole encoding chunks and a short one
+        rng = np.random.default_rng(23)
+        keys = rng.integers(0, 2, (2 * _ENCODE_CHUNK + 3, 12), dtype=np.uint8)
+        batch = rl.encode_syndrome_batch(small_prefix, keys)
+        rows = [rl.encode_syndrome(small_prefix, k) for k in keys]
+        assert np.array_equal(batch, np.array(rows))
 
     def test_length_mismatch_rejected(self, small_prefix):
         with pytest.raises(ValueError):
@@ -532,9 +542,12 @@ class TestCheckMessages:
 
     def test_saturated_messages(self):
         # check 0 touches no column: frames with a target 1-bit there never
-        # converge, and their messages run into the clamps
+        # converge, and their messages run into the v2c clamp; every other
+        # check has 3 or more edges, so the check messages stay under the
+        # clamp, which is skipped
         degs = np.resize([3, 4, 2, 5], 40)
         prefix = rl.MatrixPrefix(code_from_degrees(20, degs, np.arange(1, 20), 17), 40)
+        assert prefix.edges.full_slots >= 3 and prefix.edges.checks.size == 19
         rng = np.random.default_rng(18)
         keys = rng.integers(0, 2, (_FRAME_BLOCK, 40), dtype=np.uint8)
         syn = rl.encode_syndrome_batch(prefix, keys)
@@ -544,13 +557,14 @@ class TestCheckMessages:
         got, want = check_messages(prefix, noisy, syn, cfg)
         self.assert_same_messages(got, want)
         assert len(want) == 40
-        assert np.abs(want[-1]).max() > 0.9 * _LLR_CLAMP
+        assert 0.9 * _LLR_CLAMP < np.abs(want[-1]).max() < _LLR_CLAMP
 
     @pytest.mark.parametrize("p", [0.5 - 1e-13, 0.05])
     def test_tanh_floor(self, p):
         # at p = 0.5 - 1e-13 every prior message (about 2e-13) is under the
         # tanh floor of 1e-12, so the check update must raise it there; at
-        # p = 0.05 no message is under it and the update skips the floor
+        # p = 0.05 no check product is under 2e-12, and the update skips the
+        # per-edge floor test
         degs = np.resize([3, 4, 2, 5], 40)
         prefix = rl.MatrixPrefix(code_from_degrees(20, degs, np.arange(20), 19), 40)
         rng = np.random.default_rng(20)
@@ -558,6 +572,43 @@ class TestCheckMessages:
         syn = rl.encode_syndrome_batch(prefix, keys)
         noisy = keys ^ (rng.random(keys.shape) < 0.05).astype(np.uint8)
         cfg = DecoderConfig(crossover_prior=p, max_iterations=8)
+        got, want = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want)
+        assert len(want) >= 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_degree_one_and_two_checks(self):
+        # check 0 has one edge and check 1 two: their messages reach or pass
+        # the clamp (a degree-1 check's arctanh is +-inf), so it must run,
+        # and the infinite arctanh must not warn
+        rng = np.random.default_rng(24)
+        cols = [np.sort(rng.choice(np.arange(2, 12), 3, replace=False)) for _ in range(24)]
+        cols += [[0, 5], [1, 6], [1, 7]]
+        indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
+        prefix = rl.MatrixPrefix(rl.ParityMatrix(12, 27, indptr, np.concatenate(cols)), 27)
+        assert prefix.edges.full_slots == 1 and prefix.edges.partial_slots[0][1] == 11
+        keys = rng.integers(0, 2, (_FRAME_BLOCK, 27), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        noisy = keys ^ (rng.random(keys.shape) < 0.08).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=0.05, max_iterations=20)
+        got, want = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want)
+        assert np.abs(want[0]).max() == _LLR_CLAMP
+
+    def test_tiny_product_without_floor(self):
+        # 4 checks of about 45 edges at p = 0.45: iteration 1's tanh product
+        # (about 0.1 ** 45) is under the floor test's 2e-12, so the exact
+        # per-edge test runs, but no |tanh| (about 0.1) is under the floor
+        degs = np.full(60, 3)
+        prefix = rl.MatrixPrefix(code_from_degrees(4, degs, np.arange(4), 27), 60)
+        p = 0.45
+        t = np.tanh(0.5 * np.log((1 - p) / p))
+        assert t > _TANH_FLOOR and t ** prefix.edges.full_slots < 2 * _TANH_FLOOR
+        rng = np.random.default_rng(28)
+        keys = rng.integers(0, 2, (_FRAME_BLOCK, 60), dtype=np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        noisy = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
+        cfg = DecoderConfig(crossover_prior=p, max_iterations=6)
         got, want = check_messages(prefix, noisy, syn, cfg)
         self.assert_same_messages(got, want)
         assert len(want) >= 1
