@@ -171,19 +171,27 @@ def _as_bits(x, length: int, what: str) -> np.ndarray:
 
 def encode_syndrome(prefix: MatrixPrefix, key) -> np.ndarray:
     """Syndrome bit i = mod-2 sum of key bits adjacent to check i."""
-    key = _as_bits(key, prefix.width, "key")
+    key = np.asarray(key)
+    if key.ndim != 1 or key.size != prefix.width:
+        raise ValueError(f"key must be a 1-D bit array of length {prefix.width}")
     return encode_syndrome_batch(prefix, key[None, :])[0]
 
 
 def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
-    """Row-wise syndromes for a (B, width) batch of key blocks."""
+    """Row-wise syndromes for a (B, width) batch of key blocks.
+
+    Raises ValueError for a key value below 0 or above 1.
+    """
     e = prefix.edges
+    keys = np.asarray(keys)
     if keys.ndim != 2 or keys.shape[1] != prefix.width:
         raise ValueError(f"keys must have shape (B, {prefix.width})")
+    if keys.size and (keys.min() < 0 or keys.max() > 1):
+        raise ValueError("key must contain only 0/1 values")
     out = np.zeros((keys.shape[0], prefix.num_checks), dtype=np.uint8)
     # a chunk's (edges, rows) key bits, not the whole batch's, are gathered
     for s in range(0, keys.shape[0], _ENCODE_CHUNK):
-        chunk = np.ascontiguousarray(keys[s : s + _ENCODE_CHUNK].T)
+        chunk = np.ascontiguousarray(keys[s : s + _ENCODE_CHUNK].T, dtype=np.uint8)
         bits = np.take(chunk, e.edge_var, axis=0)
         out[s : s + _ENCODE_CHUNK, e.checks] = (
             _check_reduce(np.bitwise_xor, e, bits) & 1

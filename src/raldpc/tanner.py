@@ -211,6 +211,22 @@ class PrefixEdges:
         )
 
 
+def _members(bits: int, count: int) -> list[int]:
+    """The bit numbers of ``bits``, which has ``count`` of them, increasing."""
+    # on a shared 2-vCPU host the loop took 0.35-0.75 us a member at
+    # m = 1024-4096 and numpy a flat 8-20 us: they cross at 24-30 members
+    if count <= 24:
+        out = []
+        while bits:
+            low = bits & -bits
+            out.append(low.bit_length() - 1)
+            bits ^= low
+        return out
+    size = (bits.bit_length() + 7) >> 3
+    raw = np.frombuffer(bits.to_bytes(size, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
+
+
 def peg_construct(
     num_checks: int, num_vars: int, profile: DegreeProfile, seed: int
 ) -> ParityMatrix:
@@ -255,25 +271,10 @@ def peg_construct(
         raise ValueError("column degree exceeds number of check nodes")
 
     perm = np.random.default_rng(seed).permutation(m).tolist()
-    nbytes = (m + 7) >> 3
     every = (1 << m) - 1
     near = [0] * m
     bycnt = [every]  # no check has an edge yet
     low_cnt = 0  # bycnt[:low_cnt] are empty, and stay so: counts only grow
-
-    def members(bits: int, count: int) -> list[int]:
-        """The bit numbers of ``bits``, which has ``count`` of them."""
-        # on a shared 2-vCPU host the loop took 0.35-0.75 us a member at
-        # m = 1024-4096 and numpy a flat 8-20 us: they cross at 24-30 members
-        if count <= 24:
-            out = []
-            while bits:
-                low = bits & -bits
-                out.append(low.bit_length() - 1)
-                bits ^= low
-            return out
-        raw = np.frombuffer(bits.to_bytes(nbytes, "little"), np.uint8)
-        return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
 
     def candidates(frontier: list[int] | None, own: int) -> int:
         """Checks eligible for an edge of the column whose checks are
@@ -282,7 +283,7 @@ def peg_construct(
         while True:
             if frontier is None:  # bottom-up: drop the checks that miss it
                 new = unreached
-                for u in members(unreached, left):
+                for u in _members(unreached, left):
                     if not near[u] & front:
                         new ^= 1 << u
             else:
@@ -297,7 +298,7 @@ def peg_construct(
             # on the 1024x5120 mother (same host) took 0.83-0.90 s going
             # bottom-up past 1x, 0.82-1.0 s past 2x, 0.91-1.2 s past 5x and
             # 1.6-1.9 s never
-            frontier = None if size > left else members(new, size)
+            frontier = None if size > left else _members(new, size)
             front = new
 
     col_indices = []
@@ -337,35 +338,15 @@ def _pad_rows(lens: np.ndarray, values: np.ndarray, pad: int) -> np.ndarray:
     return table
 
 
-def _padded_adjacency(matrix: ParityMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """(column table, check table) of the matrix.
-
-    Each is an int32 (rows, max degree) array padded with a sentinel: row j
-    of the column table holds column j's checks then m, row i of the check
-    table holds check i's columns, increasing, then n.
-    """
-    m, n = matrix.num_checks, matrix.num_vars
-    col_degs = matrix.column_degrees()
-    edge_col = np.repeat(np.arange(n, dtype=np.int32), col_degs)
-    by_check = np.argsort(matrix.col_indices, kind="stable")
-    return (
-        _pad_rows(col_degs, matrix.col_indices, m),
-        _pad_rows(np.bincount(matrix.col_indices, minlength=m), edge_col[by_check], n),
-    )
-
-
 def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
     """Girth of each prefix width, widths strictly increasing in (m, n].
 
-    BFS from every variable node over the padded tables of
-    ``_padded_adjacency``; the first level at which some node is reached
-    twice certifies a cycle of twice that depth, and the best value over
-    all roots is the exact girth: an even integer >= 4, or ``ACYCLIC``
-    (inf) when no cycle exists.  A level alternates between the column
-    table (marks on checks, sentinel m) and the check table (marks on
-    columns, entries >= width dropped).  Girth can only fall as columns
-    are added, so each width starts from the previous width's girth and
-    searches only from its new columns.
+    The girth is an even integer >= 4, or ``ACYCLIC`` (inf) when no cycle
+    exists.  One pass over the columns: every cycle is closed by its last
+    column j, so the girth of width w is the least, over j < w, of the
+    shortest cycle that j closes (``_closed_cycle``).  ``near[c]`` is the
+    set of checks within one hop of check c over the columns so far, c
+    included: a Python int, bit c for check c, as in ``peg_construct``.
     """
     widths = [int(w) for w in widths]
     if not widths:
@@ -375,48 +356,68 @@ def girth_profile(matrix: ParityMatrix, widths) -> list[tuple[int, float]]:
     m = matrix.num_checks
     if widths[0] <= m or widths[-1] > matrix.num_vars:
         raise ValueError(f"widths must lie in ({m}, {matrix.num_vars}]")
-    col_adj, check_adj = _padded_adjacency(matrix)
-    # root that last reached each check / column
-    mark_c = np.full(m, -1, dtype=np.int64)
-    mark_v = np.full(matrix.num_vars, -1, dtype=np.int64)
-    out, best, done = [], ACYCLIC, 0
-    for w in widths:
-        sides = ((col_adj, mark_c, m), (check_adj, mark_v, w))
-        for root in range(done, w):
-            if best <= 4:
-                break  # bipartite graphs cannot do better
-            mark_v[root] = root
-            frontier = np.array([root])
-            depth = 0
-            while frontier.size and 2 * (depth + 1) < best:
-                adj, mark, limit = sides[depth % 2]
-                depth += 1
-                xs = adj[frontier].ravel()
-                xs = xs[xs < limit]
-                xs = xs[mark[xs] != root]
-                frontier = np.unique(xs)
-                if frontier.size < xs.size:  # a node reached twice closes a cycle
-                    best = 2 * depth
-                    break
-                mark[frontier] = root
-        out.append((w, best))
-        done = w
+    indptr = matrix.col_indptr[: widths[-1] + 1].tolist()
+    checks = matrix.col_indices[: indptr[-1]].tolist()
+    near = [1 << c for c in range(m)]
+    out, best = [], ACYCLIC
+    for j in range(widths[-1]):
+        col = checks[indptr[j] : indptr[j + 1]]
+        if best > 4 and len(col) > 1:
+            best = _closed_cycle(near, col, best)
+        own = sum(1 << c for c in col)
+        for c in col:
+            near[c] |= own
+        if j + 1 == widths[len(out)]:
+            out.append((j + 1, best))
     return out
+
+
+def _closed_cycle(near: list[int], col: list[int], best):
+    """min(``best``, the shortest cycle closed by a column with checks ``col``).
+
+    That cycle is 2(1 + d) long, d the least hop distance between two
+    checks of ``col`` (a hop joins two checks of one column).  At radius r,
+    ``inner`` and ``outer`` hold the balls of radius r - 1 and r around
+    each check.  d = 2r - 1 when an outer ball meets another check's inner
+    ball (the inner balls are disjoint by then, so the others' union is the
+    union less its own); else d = 2r when the outer balls overlap.  It
+    stops before a length that cannot beat ``best``, and when no ball grew.
+    """
+    inner, outer, length = [1 << c for c in col], [near[c] for c in col], 4
+    while length < best and outer != inner:  # length is 4r
+        union = reduce(or_, inner)
+        if any(o & (union ^ i) for o, i in zip(outer, inner)):
+            return length
+        if length + 2 < best and (
+            reduce(or_, outer).bit_count() < sum(o.bit_count() for o in outer)
+        ):
+            return length + 2
+        length += 4
+        if length < best:  # grow the balls only for a test that will read them
+            shells = [o ^ i for o, i in zip(outer, inner)]
+            inner, outer = outer, [
+                reduce(or_, map(near.__getitem__, _members(s, s.bit_count())), o)
+                for s, o in zip(shells, outer)
+            ]
+    return best
 
 
 def save_alist(matrix: ParityMatrix, path) -> None:
     """Write the matrix in alist text format (1-based, zero-padded rows)."""
     if matrix.num_edges == 0:
         raise ValueError("an alist file cannot hold a matrix with no edges")
-    col_adj, check_adj = _padded_adjacency(matrix)
-    sides = ((col_adj, matrix.num_checks), (check_adj, matrix.num_vars))
+    m, n = matrix.num_checks, matrix.num_vars
+    col_degs = matrix.column_degrees()
+    row_degs = np.bincount(matrix.col_indices, minlength=m)
+    edge_col = np.repeat(np.arange(n, dtype=np.int32), col_degs)
+    cols_by_check = edge_col[np.argsort(matrix.col_indices, kind="stable")]
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{matrix.num_vars} {matrix.num_checks}\n")
-        fh.write(f"{col_adj.shape[1]} {check_adj.shape[1]}\n")
-        for table, pad in sides:  # degrees
-            np.savetxt(fh, [np.count_nonzero(table < pad, axis=1)], fmt="%d")
-        for table, pad in sides:  # entries, 1-based with 0 as padding
-            np.savetxt(fh, np.where(table < pad, table + 1, 0), fmt="%d")
+        fh.write(f"{n} {m}\n{col_degs.max()} {row_degs.max()}\n")
+        np.savetxt(fh, [col_degs], fmt="%d")
+        np.savetxt(fh, [row_degs], fmt="%d")
+        # the entries, 1-based with 0 as padding
+        np.savetxt(fh, _pad_rows(col_degs, matrix.col_indices + 1, 0), fmt="%d")
+        np.savetxt(fh, _pad_rows(row_degs, cols_by_check + 1, 0), fmt="%d")
 
 
 def _ints(line: str, lineno: int) -> list[int]:

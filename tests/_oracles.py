@@ -22,7 +22,6 @@ from raldpc.tanner import (
     AlistParseError,
     MatrixPrefix,
     _ints,
-    _padded_adjacency,
 )
 
 # the reference's clip before ``arctanh``, which ``raldpc.codec`` drops
@@ -494,8 +493,11 @@ def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
 
     col_indptr = np.concatenate(([0], np.cumsum([len(c) for c in cols])))
     matrix = ParityMatrix(m, n, col_indptr, np.concatenate(cols).astype(np.int32))
-    # validate the row section against the column section's check table
-    _, check_adj = _padded_adjacency(matrix)
+    # validate the row section against the column section's rows
+    rows = [[] for _ in range(m)]
+    for j, col in enumerate(cols):
+        for i in col:
+            rows[i].append(j)
     for i in range(m):
         ln, text = lines[n + i]
         ents = sorted(x - 1 for x in _ints(text, ln) if x != 0)
@@ -503,8 +505,7 @@ def _parse_entry_lines(lines, n, m, col_deg, row_deg) -> ParityMatrix:
             raise AlistParseError(
                 f"line {ln}: row {i} has {len(ents)} entries, declared {row_deg[i]}"
             )
-        row = check_adj[i]
-        if ents != row[row < n].tolist():
+        if ents != rows[i]:
             raise AlistParseError(f"line {ln}: row {i} disagrees with column section")
     return matrix
 

@@ -88,6 +88,26 @@ class TestEncode:
         with pytest.raises(ValueError):
             rl.encode_syndrome(small_prefix, np.zeros(11, np.uint8))
 
+    @pytest.mark.parametrize(
+        "value",
+        [np.uint8(2), 2, -1, 256, 1.5],  # 2s encode as 0s; 256 is 0 as uint8
+    )
+    def test_non_bit_values_rejected(self, small_prefix, value):
+        key = np.zeros(12, dtype=np.asarray(value).dtype)
+        key[3] = value
+        with pytest.raises(ValueError, match="key must contain only 0/1 values"):
+            rl.encode_syndrome_batch(small_prefix, np.stack([key * 0, key]))
+        with pytest.raises(ValueError, match="key must contain only 0/1 values"):
+            rl.encode_syndrome(small_prefix, key)
+
+    def test_any_dtype_of_bits_encodes_alike(self, small_prefix):
+        key = np.random.default_rng(4).integers(0, 2, 12, dtype=np.uint8)
+        want = rl.encode_syndrome(small_prefix, key)
+        for dtype in (bool, np.int64, np.float64):
+            assert np.array_equal(rl.encode_syndrome(small_prefix, key.astype(dtype)), want)
+            batch = rl.encode_syndrome_batch(small_prefix, key[None, :].astype(dtype))
+            assert np.array_equal(batch[0], want)
+
 
 class TestDecode:
     def test_satisfied_input_returns_at_iteration_zero(self, small_prefix):

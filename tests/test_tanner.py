@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 
 import numpy as np
@@ -229,6 +230,20 @@ class TestGirthReference:
             (w, girth_reference(rl.MatrixPrefix(matrix, w))) for w in widths
         ]
 
+    @pytest.mark.parametrize(
+        "m, n, degree, widths, girths",
+        [
+            # a forest whose balls stop growing, then a 66-cycle (radius 16)
+            (64, 80, 2, [65, 72, 80], [66, 22, 18]),
+            # 4r and 4r + 2 cycles found at radius 2 and beyond
+            (200, 260, 3, [201, 230, 260], [10, 10, 10]),
+        ],
+    )
+    def test_matches_reference_at_high_girth(self, m, n, degree, widths, girths):
+        matrix = rl.peg_construct(m, n, rl.DegreeProfile.uniform(n, degree), 1)
+        assert rl.girth_profile(matrix, widths) == list(zip(widths, girths))
+        assert girths == [girth_reference(rl.MatrixPrefix(matrix, w)) for w in widths]
+
 
 class TestGirth:
     def test_shared_check_pair_gives_four(self):
@@ -323,6 +338,21 @@ class TestAlist:
         assert lines[2] == "2 2 2 3"
         assert lines[3] == "3 3 3"
         assert lines[4] == "1 2 0"  # 1-based, zero-padded
+
+    @pytest.mark.parametrize(
+        "matrix, digest",
+        [
+            (rl.peg_construct(12, 30, rl.DegreeProfile.interleaved_4_5(30), seed=2),
+             "1e76ba36623e281ca5d0d3e01bfc7a15ef2329d4991b53aa4a40846012091413"),
+            # column 1 and check 1 have no edge
+            (small_matrix([[0, 2], [], [2, 3], [0], [0, 2, 3]], m=4),
+             "21f8d3fb46fcea1ce3b02b7748cb7db7009910f5c75eb3ecc1fd55fbcecda141"),
+        ],
+    )
+    def test_golden_bytes(self, tmp_path, matrix, digest):
+        path = tmp_path / "m.alist"
+        rl.save_alist(matrix, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_rejects_wrong_edge_count(self, tmp_path):
         m = small_matrix([[0, 1], [0, 1], [0, 1]], m=2)
