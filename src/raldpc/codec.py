@@ -162,11 +162,10 @@ def _as_bits(x, length: int, what: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{what} must be a 1-D bit array of length {length}")
-    if arr.dtype != np.uint8:
-        arr = arr.astype(np.uint8)
-    if np.any(arr > 1):
+    # checked before the cast, which would take 256 to 0 and 257 to 1
+    if arr.min() < 0 or arr.max() > 1:
         raise ValueError(f"{what} must contain only 0/1 values")
-    return arr
+    return arr.astype(np.uint8, copy=False)
 
 
 def encode_syndrome(prefix: MatrixPrefix, key) -> np.ndarray:

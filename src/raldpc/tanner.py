@@ -232,34 +232,17 @@ def peg_construct(
 ) -> ParityMatrix:
     """Grow an m x n Tanner graph by progressive edge growth, column by column.
 
-    For each new variable node, the first edge goes to a check of minimum
-    current degree; each further edge does a BFS from the variable and
-    attaches to an unreached check if one exists, otherwise to a check at
-    maximal BFS depth.  Ties are broken by minimum current check degree and
-    then by a seed-derived permutation of the check indices, so the result
-    is deterministic for fixed inputs.
+    A column's first edge goes to any check; each further edge goes to a
+    check that a BFS from the column leaves unreached if there is one, else
+    to a check on the BFS's deepest level.  Ties go to the least current
+    check degree, then to the lowest rank in the seed's permutation, so the
+    result is deterministic for fixed inputs.
 
-    Sets of checks are Python ints in rank order: bit r stands for check
-    ``perm[r]``, where ``perm`` is the seed's permutation, so the lowest
-    set bit of a set is its lowest-rank check.  ``bycnt[d]`` is the set of
-    checks with d edges so far; the chosen check is the lowest bit of
-    ``cand & bycnt[d]`` for the smallest d where that is nonempty, which
-    is the (degree, rank) tie-break above.  ``near[r]`` is the set of
-    checks that share a placed column with check r; it is symmetric.  The
-    m ints of up to m bits take about m^2 / 8 bytes plus their headers
-    (about 170 KB at m = 1024, 2.4 MB at 4096).
-
-    The BFS walks check levels only.  A level is the next check level of
-    the BFS as a set, less the checks already reached: a variable reached
-    on an earlier level has all its checks reached by now, so stepping
-    through it adds nothing.  A level goes one of two ways (Beamer et al.,
-    SC 2012).  Top-down, it is the OR of the frontier's ``near`` rows.
-    Bottom-up, taken when the frontier holds more checks than are
-    unreached, it is the unreached checks whose ``near`` row meets the
-    frontier.  The frontier is listed only for a top-down level.  The
-    search stops when a level is empty (the candidates are the unreached
-    checks) or when every check is reached (the candidates are the last
-    level).
+    Sets of checks are Python ints, bit r for the check of rank r.
+    ``bycnt[d]`` is the set of checks with d edges so far and ``near[r]``
+    the set that shares a placed column with r.  Each edge's BFS levels
+    extend the previous edge's from its one new check (README, "Notes on
+    the construction").
     """
     m, n = int(num_checks), int(num_vars)
     if len(profile) != n:
@@ -272,40 +255,45 @@ def peg_construct(
 
     perm = np.random.default_rng(seed).permutation(m).tolist()
     every = (1 << m) - 1
-    near = [0] * m
+    near = [0] * m  # about m^2 / 8 bytes: 170 KB at m = 1024, 2.4 MB at 4096
     bycnt = [every]  # no check has an edge yet
     low_cnt = 0  # bycnt[:low_cnt] are empty, and stay so: counts only grow
 
-    def candidates(frontier: list[int] | None, own: int) -> int:
-        """Checks eligible for an edge of the column whose checks are
-        ``frontier`` (a list) and ``own`` (a set)."""
-        unreached, front = every ^ own, own
+    def extend(levels: list[int], c: int) -> tuple[int, list[int]]:
+        """(candidates, levels) of the column's checks once check ``c`` (a
+        bit) joins them, from their cumulative reached ``levels`` before."""
+        reached, fresh, last = levels[0] | c, c, len(levels) - 1
+        out = [reached]
         while True:
-            if frontier is None:  # bottom-up: drop the checks that miss it
+            known = reached | levels[min(len(out), last)]
+            unreached = every ^ known
+            size, left = fresh.bit_count(), unreached.bit_count()
+            # each way lists its set and does one big-int op a member; PEG
+            # on the 1024x5120 mother (shared 2-vCPU host, medians of 6) took
+            # 0.68 s going bottom-up past 1x, 0.70 s past 2x, 0.76 s past 4x
+            # and 0.81 s past 8x
+            if size > left:  # bottom-up: drop the checks that miss it
                 new = unreached
                 for u in _members(unreached, left):
-                    if not near[u] & front:
+                    if not near[u] & fresh:
                         new ^= 1 << u
             else:
-                new = reduce(or_, map(near.__getitem__, frontier), 0) & unreached
-            if not new:
-                return unreached
-            unreached ^= new
-            if not unreached:
-                return new
-            size, left = new.bit_count(), unreached.bit_count()
-            # each way lists its set and does one big-int op a member; PEG
-            # on the 1024x5120 mother (same host) took 0.83-0.90 s going
-            # bottom-up past 1x, 0.82-1.0 s past 2x, 0.91-1.2 s past 5x and
-            # 1.6-1.9 s never
-            frontier = None if size > left else _members(new, size)
-            front = new
+                members = _members(fresh, size)
+                new = reduce(or_, map(near.__getitem__, members), 0) & unreached
+            if known | new == reached:
+                return every ^ reached, out
+            reached = known | new
+            out.append(reached)
+            if reached == every:
+                return reached ^ out[-2], out
+            fresh = new
 
     col_indices = []
     for deg in degs.tolist():
-        own, cols = 0, []
+        levels, cand, cols = [0], every, []
         for e in range(deg):
-            cand = candidates(cols, own) if e else every
+            if e:
+                cand, levels = extend(levels, low)
             d = low_cnt
             while not cand & bycnt[d]:
                 d += 1
@@ -320,8 +308,7 @@ def peg_construct(
             for r in cols:
                 near[r] |= low
             r = low.bit_length() - 1
-            near[r] |= own
-            own |= low
+            near[r] |= levels[0]
             cols.append(r)
         col_indices += sorted(perm[r] for r in cols)
     col_indptr = np.concatenate(([0], np.cumsum(degs))).astype(np.int64)

@@ -7,7 +7,8 @@ completely independent of the message-passing decoder under test.
 is the per-prefix CSR breadth-first search that ``raldpc.girth_profile``
 must agree with, ``decode_batch_reference`` is the sum-product batch
 decoder that ``raldpc.codec._decode_batch`` must reproduce output for
-output, ``load_alist_reference`` is the line-by-line alist loader
+output, ``leave_one_out_messages`` is its check update with no division,
+``load_alist_reference`` is the line-by-line alist loader
 whose matrices and error messages ``raldpc.load_alist`` must reproduce, and
 ``read_key_blocks_reference`` is the text-mode, line-by-line key-file reader
 whose blocks and error messages ``raldpc.read_key_blocks`` must reproduce.
@@ -326,6 +327,7 @@ def decode_batch_reference(
     target: np.ndarray,
     config: DecoderConfig,
     messages: list | None = None,
+    check_inputs: list | None = None,
 ):
     """Decode a batch of independent frames with one flooding schedule.
 
@@ -338,7 +340,10 @@ def decode_batch_reference(
     Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
     unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
     When ``messages`` is a list, each iteration appends to it a copy of its
-    (active frames, edges) check-to-variable messages, in check-major order.
+    (active frames, edges) check-to-variable messages, in check-major order;
+    when ``check_inputs`` is, a copy of the (v2c, sgn_syn) its check update
+    reads: the variable-to-check messages, and the ±1 target sign of each
+    (active frame, check).
     """
     var_indptr, edge_check, _ = prefix_columns(prefix)
     edge_check_cm = np.sort(edge_check, kind="stable")
@@ -371,6 +376,8 @@ def decode_batch_reference(
         full = full_buf[:n]
 
         # check update: extrinsic tanh product, syndrome sign folded in
+        if check_inputs is not None:
+            check_inputs.append((v2c.copy(), sgn_syn.copy()))
         np.multiply(v2c, 0.5, out=t)
         np.tanh(t, out=t)
         np.abs(t, out=ext)
@@ -420,6 +427,33 @@ def decode_batch_reference(
         iters[active] = config.max_iterations
         unsat[active] = miss
     return hard, unsat == 0, iters, unsat
+
+
+def leave_one_out_messages(prefix: MatrixPrefix, v2c: np.ndarray, sgn_syn: np.ndarray):
+    """(c2v, d): the full-LLR check-to-variable messages of the check-major
+    (frames, edges) ``v2c``, and each edge's check degree.
+
+    Each edge's tanh product runs over the other edges of its check, as the
+    product of the cumulative products before and after it, with no
+    division.  As in ``decode_batch_reference``, every |tanh| is floored at
+    ``_TANH_FLOOR``, ``sgn_syn`` (frames, checks) signs the product, and
+    the message is clamped at ``_LLR_CLAMP``; a product of exactly ±1 (a
+    degree-1 check) is an infinite ``arctanh`` before the clamp.
+    """
+    _, edge_check, _ = prefix_columns(prefix)
+    check = np.sort(edge_check, kind="stable")
+    counts = np.bincount(check, minlength=prefix.num_checks)
+    slot = np.arange(check.size) - (np.cumsum(counts) - counts)[check]
+    t = np.tanh(0.5 * v2c)
+    t = np.copysign(np.maximum(np.abs(t), _TANH_FLOOR), t)
+    # each check's tanh values between a 1 before and a 1 after them
+    table = np.ones((v2c.shape[0], prefix.num_checks, counts.max() + 2))
+    table[:, check, slot + 1] = t
+    before = np.cumprod(table, axis=2)[:, check, slot]
+    after = np.cumprod(table[:, :, ::-1], axis=2)[:, :, ::-1][:, check, slot + 2]
+    with np.errstate(divide="ignore"):
+        c2v = 2.0 * np.arctanh(sgn_syn[:, check] * before * after)
+    return np.clip(c2v, -_LLR_CLAMP, _LLR_CLAMP), counts[check]
 
 
 def load_alist_reference(path) -> ParityMatrix:

@@ -23,6 +23,7 @@ from _oracles import (
     check_major,
     decode_batch_reference,
     dense_parity,
+    leave_one_out_messages,
     patterns_of_weight_at_most,
     prefix_columns,
     read_key_blocks_reference,
@@ -200,6 +201,14 @@ class TestDecode:
             rl.decode(small_prefix, np.zeros(10, np.uint8), np.zeros(8, np.uint8), CFG)
         with pytest.raises(ValueError):
             rl.decode(small_prefix, np.zeros(12, np.uint8), np.zeros(7, np.uint8), CFG)
+
+    @pytest.mark.parametrize("value", [256, 257, -1])  # 256 and 257 are 0 and 1 as uint8
+    @pytest.mark.parametrize("what", ["noisy_key", "target_syndrome"])
+    def test_non_bit_values_rejected(self, small_prefix, what, value):
+        key, syn = np.zeros(12, dtype=np.int64), np.zeros(8, dtype=np.int64)
+        (key if what == "noisy_key" else syn)[3] = value
+        with pytest.raises(ValueError, match=f"{what} must contain only 0/1 values"):
+            rl.decode(small_prefix, key, syn, CFG)
 
     def test_nonconvergence_is_reported_not_raised(self, small_prefix):
         # an unsatisfiable syndrome paired with a hostile prior
@@ -514,7 +523,9 @@ def check_major_positions(prefix):
 
 
 def check_messages(prefix, noisy, syn, cfg):
-    """(kernel, reference): every iteration's check messages of both decoders.
+    """(kernel, reference, leave-one-out): every iteration's check messages
+    of both decoders, and ``leave_one_out_messages`` of the reference's
+    inputs with each edge's check degree.
 
     The kernel's are the half-LLR ``c2v`` buffers its variable update reads,
     recorded by a wrapper around ``codec._slot_sum``; with every column of
@@ -524,7 +535,7 @@ def check_messages(prefix, noisy, syn, cfg):
     rows match the reference's.
     """
     assert len(prefix.edges.var_slots) == 1 and noisy.shape[0] <= _FRAME_BLOCK
-    got, want = [], []
+    got, want, inputs = [], [], []
 
     def recording(src, slots):
         got.append(src.copy())
@@ -533,24 +544,34 @@ def check_messages(prefix, noisy, syn, cfg):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("raldpc.codec._slot_sum", recording)
         kernel = _decode_batch(prefix, noisy, syn, cfg)
-    reference = decode_batch_reference(prefix, noisy, syn, cfg, messages=want)
+    reference = decode_batch_reference(
+        prefix, noisy, syn, cfg, messages=want, check_inputs=inputs
+    )
     for g, w in zip(kernel, reference):
         assert np.array_equal(g, w)
     rows = np.append(check_major_positions(prefix), prefix.edges.num_edges)
-    return [g[rows].T for g in got], want
+    loo = [leave_one_out_messages(prefix, v2c, sgn) for v2c, sgn in inputs]
+    return [g[rows].T for g in got], want, loo
 
 
 class TestCheckMessages:
     """Every check message of the kernel, doubled, equals the reference's
-    full-LLR message bit for bit, at every iteration."""
+    full-LLR message bit for bit, at every iteration, and the leave-one-out
+    product's message up to rounding."""
 
     @staticmethod
-    def assert_same_messages(got, want):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+    def assert_same_messages(got, want, loo):
+        assert len(got) == len(want) == len(loo)
+        for g, w, (c2v, degree) in zip(got, want, loo):
             # the extra column is the slot tables' zero padding
             assert not g[:, -1].any()
             assert np.array_equal(2.0 * g[:, :-1], w)
+            # the quotient and the leave-one-out product x each take at most
+            # d + 1 roundings of 2^-53 relative; c = 2 arctanh x turns a
+            # relative dx / x into dc = sinh(|c|) dx / x, and the clamp at
+            # 25 caps sinh(|c|)
+            tol = 1e-12 + 2 * (degree + 1) * 2.0**-53 * np.sinh(np.abs(c2v))
+            assert np.all(np.abs(2.0 * g[:, :-1] - c2v) <= tol)
 
     @settings(max_examples=250, deadline=None)
     @given(case=st.one_of(decode_cases(), mixed_degree_cases(max_degree=8)))
@@ -574,8 +595,8 @@ class TestCheckMessages:
         syn[::2, 0] = 1
         noisy = keys ^ (rng.random(keys.shape) < 0.05).astype(np.uint8)
         cfg = DecoderConfig(crossover_prior=0.05, max_iterations=40)
-        got, want = check_messages(prefix, noisy, syn, cfg)
-        self.assert_same_messages(got, want)
+        got, want, loo = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want, loo)
         assert len(want) == 40
         assert 0.9 * _LLR_CLAMP < np.abs(want[-1]).max() < _LLR_CLAMP
 
@@ -592,8 +613,8 @@ class TestCheckMessages:
         syn = rl.encode_syndrome_batch(prefix, keys)
         noisy = keys ^ (rng.random(keys.shape) < 0.05).astype(np.uint8)
         cfg = DecoderConfig(crossover_prior=p, max_iterations=8)
-        got, want = check_messages(prefix, noisy, syn, cfg)
-        self.assert_same_messages(got, want)
+        got, want, loo = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want, loo)
         assert len(want) >= 1
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -611,8 +632,8 @@ class TestCheckMessages:
         syn = rl.encode_syndrome_batch(prefix, keys)
         noisy = keys ^ (rng.random(keys.shape) < 0.08).astype(np.uint8)
         cfg = DecoderConfig(crossover_prior=0.05, max_iterations=20)
-        got, want = check_messages(prefix, noisy, syn, cfg)
-        self.assert_same_messages(got, want)
+        got, want, loo = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want, loo)
         assert np.abs(want[0]).max() == _LLR_CLAMP
 
     def test_tiny_product_without_floor(self):
@@ -629,8 +650,8 @@ class TestCheckMessages:
         syn = rl.encode_syndrome_batch(prefix, keys)
         noisy = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
         cfg = DecoderConfig(crossover_prior=p, max_iterations=6)
-        got, want = check_messages(prefix, noisy, syn, cfg)
-        self.assert_same_messages(got, want)
+        got, want, loo = check_messages(prefix, noisy, syn, cfg)
+        self.assert_same_messages(got, want, loo)
         assert len(want) >= 1
 
 

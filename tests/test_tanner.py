@@ -108,6 +108,19 @@ class TestPegReference:
     @example(code=(16, 40, rl.DegreeProfile.uniform(40, 2), 5))
     # every column touches every check
     @example(code=(5, 9, rl.DegreeProfile.uniform(9, 5), 1))
+    # each edge extends the levels of the edge before from its new check:
+    # levels that had grown and then stalled (twice), so the new check
+    # opens another component
+    @example(code=(12, 20, rl.DegreeProfile.uniform(20, 3), 0))
+    # extensions that run past the end of the levels before: those levels
+    # had stalled, and the new check's own ball goes deeper
+    @example(code=(16, 24, rl.DegreeProfile.uniform(24, 3), 1))
+    # bottom-up steps on the new check's fresh set, past level 0
+    @example(code=(20, 30, rl.DegreeProfile.uniform(30, 3), 2))
+    # columns of degree 6 to 9: five to eight extensions each
+    @example(code=(12, 18, rl.DegreeProfile.uniform(18, 6), 3))
+    @example(code=(9, 14, rl.DegreeProfile.uniform(14, 8), 4))
+    @example(code=(24, 40, rl.DegreeProfile(np.resize([6, 2, 9, 3], 40)), 6))
     def test_matches_reference(self, code):
         m, n, profile, seed = code
         assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
@@ -124,6 +137,8 @@ class TestPegReference:
     # dense ones whose searches reach every check in two or three levels
     @example(code=(150, 210, rl.DegreeProfile.interleaved_4_5(210), 6))
     @example(code=(100, 150, rl.DegreeProfile.uniform(150, 6), 4))
+    # every column of degree 6 to 9, over two words
+    @example(code=(70, 100, rl.DegreeProfile(np.resize([6, 9, 7, 8], 100)), 5))
     def test_matches_reference_past_one_word(self, code):
         m, n, profile, seed = code
         assert rl.peg_construct(m, n, profile, seed) == peg_reference(m, n, profile, seed)
