@@ -11,7 +11,7 @@ characterization affordable in pure numpy.
 Message layout: the variable-to-check and check-to-variable messages are
 C-contiguous (edges, frames) float64 arrays, frames innermost, with the
 edges in ``PrefixEdges``' check-slot order for the whole decode, in buffers
-allocated once per block.  Slot k holds the k-th edge of every check with
+allocated once per batch.  Slot k holds the k-th edge of every check with
 more than k edges, and the checks go by degree, highest first, so the first
 ``full_slots`` slots are one (slots, checks, frames) block and each later
 (partial) slot is a run over the leading checks.  A per-check product is
@@ -30,10 +30,11 @@ copies a row of frames per edge.
 Two message buffers: ``tanh`` runs in place over v2c, whose value before
 it is never read again (the variable update rebuilds v2c from the
 posterior), and the division and ``arctanh`` write straight into c2v,
-whose old value is dead once v2c = posterior - c2v has been formed.  At
-iteration 0 that subtraction and v2c's clamp are identities (c2v is 0 and
-|prior| is within the clamp), and after the last iteration v2c is never
-read, so both run only in between.
+whose old value is dead once v2c = posterior - c2v has been formed.  A
+block starts with v2c = the prior gathered to the edges, which is what
+that subtraction and v2c's clamp give at iteration 0 (c2v is 0 and |prior|
+is within the clamp).  At the last iteration every frame leaves before the
+subtraction, since its v2c would never be read.
 
 The tanh floor: each |tanh| is raised to ``_TANH_FLOOR`` so that the
 extrinsic division stays finite.  The floor's two passes (``maximum`` and
@@ -74,13 +75,17 @@ between the running sums.  So the columns of degree 1 to 8 share one
 padded table, and each degree above 8 has a table of its own.  A column
 that no check touches is in no table and keeps its prior.
 
-Frame blocks: a batch is decoded ``_FRAME_BLOCK`` frames at a time.  Each
-pass of an iteration streams one or both of the two message buffers, and a
-block's buffers (23040 edges x 4 frames x 8 B x 2 = 1.5 MB on the 1024x5120
-mother) fit in one core's 2 MiB L2, where a 64-frame batch's (24 MB) spill
-to memory on every pass.  Frames are independent, so blocking changes no
-result.  A frame that converges leaves the block: the frames still active
-are the leading (edges, frames) array of each flat buffer.
+Frame blocks: iteration 0 runs once for the whole batch (the fused
+syndrome check below), and the frames it leaves are iterated
+``_FRAME_BLOCK`` at a time.  Each pass of an iteration streams one or both
+of the two message buffers, and a block's buffers (23040 edges x 4 frames
+x 8 B x 2 = 1.5 MB on the 1024x5120 mother) fit in one core's 2 MiB L2,
+where a 64-frame batch's (24 MB) spill to memory on every pass.  The two
+message buffers and the sign buffer are allocated once per batch, one
+block's worth, and every block reuses them.  Frames are independent, so
+blocking changes no result.  A frame that converges leaves the block at
+once, its results written straight into the batch's arrays: the frames
+still active are the leading (edges, frames) array of each flat buffer.
 
 Half-LLR units: the prior, the posterior and both messages are held at half
 their LLR value, so the tanh rule's tanh(LLR / 2) is ``tanh(v2c)``, the
@@ -99,8 +104,10 @@ one ``bitwise_xor.reduce`` over the full slots and one XOR per partial
 slot, the same reduction as the check product.  ``encode_syndrome_batch``
 takes a key's parity the same way.  Target 1-bits on checks with no edge in
 the prefix are counted once per frame, since no key meets them.  Iteration
-0 runs the same check on the gathered prior, which is negative exactly
-where the received bit is 1.
+0 is ``encode_syndrome_batch`` of the received blocks, for the whole batch
+at once.  This is exact: iteration 0's posterior is the prior, which is
+negative exactly where the received bit is 1, so the parity of its signs
+over a check's edges is the received block's syndrome bit.
 """
 
 from __future__ import annotations
@@ -158,12 +165,23 @@ class DecodeResult:
     unsatisfied_checks: int
 
 
+def _all_bits(arr: np.ndarray) -> bool:
+    """Whether every value of ``arr`` is 0 or 1, checked before any cast to
+    uint8, which would take 256 to 0, 257 to 1, 0.5 to 0 and NaN to 0.
+
+    Integer and bool arrays need only the range; any other dtype is
+    compared with 0 and 1.
+    """
+    if arr.dtype.kind in "biu":
+        return not arr.size or (arr.min() >= 0 and arr.max() <= 1)
+    return bool(np.all((arr == 0) | (arr == 1)))
+
+
 def _as_bits(x, length: int, what: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.ndim != 1 or arr.size != length:
         raise ValueError(f"{what} must be a 1-D bit array of length {length}")
-    # checked before the cast, which would take 256 to 0 and 257 to 1
-    if arr.min() < 0 or arr.max() > 1:
+    if not _all_bits(arr):
         raise ValueError(f"{what} must contain only 0/1 values")
     return arr.astype(np.uint8, copy=False)
 
@@ -179,13 +197,13 @@ def encode_syndrome(prefix: MatrixPrefix, key) -> np.ndarray:
 def encode_syndrome_batch(prefix: MatrixPrefix, keys: np.ndarray) -> np.ndarray:
     """Row-wise syndromes for a (B, width) batch of key blocks.
 
-    Raises ValueError for a key value below 0 or above 1.
+    Raises ValueError for a key value other than 0 or 1.
     """
     e = prefix.edges
     keys = np.asarray(keys)
     if keys.ndim != 2 or keys.shape[1] != prefix.width:
         raise ValueError(f"keys must have shape (B, {prefix.width})")
-    if keys.size and (keys.min() < 0 or keys.max() > 1):
+    if not _all_bits(keys):
         raise ValueError("key must contain only 0/1 values")
     out = np.zeros((keys.shape[0], prefix.num_checks), dtype=np.uint8)
     # a chunk's (edges, rows) key bits, not the whole batch's, are gathered
@@ -313,38 +331,6 @@ def _syndrome_mismatch(e, signed, neg, target, absent_miss) -> np.ndarray:
     return np.count_nonzero(cand != target, axis=0) + absent_miss
 
 
-def _decode_batch(
-    prefix: MatrixPrefix,
-    noisy: np.ndarray,
-    target: np.ndarray,
-    config: DecoderConfig,
-):
-    """Decode a batch of independent frames with one flooding schedule.
-
-    Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
-    unsatisfied (B,)).  Identical in behaviour to decoding each frame alone;
-    the frames go through ``_decode_block`` ``_FRAME_BLOCK`` at a time.
-    """
-    e = prefix.edges
-    p = config.crossover_prior
-    # half-LLR units (module docstring): the kernel's only halving
-    half_prior = 0.5 * min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
-    blocks = [
-        _decode_block(
-            e,
-            noisy[s : s + _FRAME_BLOCK],
-            target[s : s + _FRAME_BLOCK],
-            half_prior,
-            config.max_iterations,
-        )
-        # an empty batch is one empty block
-        for s in range(0, max(noisy.shape[0], 1), _FRAME_BLOCK)
-    ]
-    if len(blocks) == 1:
-        return blocks[0]
-    return tuple(np.concatenate(out) for out in zip(*blocks))
-
-
 def _frames(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """The frames at indices ``keep`` of the (rows, frames) array ``x``,
     C-contiguous.
@@ -359,40 +345,59 @@ def _frames(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
-    """``_decode_batch`` on a few frames, every message in half-LLR units."""
-    B, E = noisy.shape[0], e.num_edges
+def _decode_batch(
+    prefix: MatrixPrefix,
+    noisy: np.ndarray,
+    target: np.ndarray,
+    config: DecoderConfig,
+):
+    """Decode a batch of independent frames with one flooding schedule.
+
+    Returns (hard_keys (B,w) uint8, success (B,), iterations_used (B,),
+    unsatisfied (B,)).  Identical in behaviour to decoding each frame alone.
+    Iteration 0 checks the whole batch's received blocks; the frames it
+    leaves are iterated ``_FRAME_BLOCK`` at a time, every message in
+    half-LLR units (module docstring).
+    """
+    e = prefix.edges
+    E, p, max_iterations = e.num_edges, config.crossover_prior, config.max_iterations
+    # half-LLR units (module docstring): the kernel's only halving
+    half_prior = 0.5 * min(float(np.log((1.0 - p) / p)), _LLR_CLAMP)
     hard = noisy.astype(np.uint8)
-    iters = np.zeros(B, dtype=np.int64)
-    unsat = np.zeros(B, dtype=np.int64)
-    # every per-frame array below is (rows, frames), frames innermost
-    present = np.ascontiguousarray(target[:, e.checks].T)
-    absent_miss = np.count_nonzero(target, axis=1) - np.count_nonzero(present, axis=0)
-    sgn_syn = 1.0 - 2.0 * present.astype(np.float64)
-    prior = post = half_prior * (1.0 - 2.0 * hard.T.astype(np.float64, order="C"))
-    # the two edge message buffers, reused across iterations: the first n
-    # frames' worth of each is the (edges, n) array of the n frames still
-    # active.  Iteration 0 only checks the received block: its posterior is
-    # the prior, whose sign is the received bit, and its c2v is 0, so v2c
-    # stays the prior.
-    v2c_buf = np.empty(E * B)
+    iters = np.zeros(hard.shape[0], dtype=np.int64)
+    present = target[:, e.checks]
+    absent_miss = np.count_nonzero(target, axis=1) - np.count_nonzero(present, axis=1)
+    # iteration 0: the posterior is the prior, negative exactly where the
+    # received bit is 1, so its candidate syndrome is the received block's
+    syn = encode_syndrome_batch(prefix, hard)[:, e.checks]
+    unsat = np.count_nonzero(syn != present, axis=1) + absent_miss
+    left = np.flatnonzero(unsat)
+    # the two edge message buffers and the sign buffer, shared by every
+    # block: the first n frames' worth of each is the (edges, n) array of
+    # the n frames still active
+    size = min(left.size, _FRAME_BLOCK)
+    v2c_buf, neg_buf = np.empty(E * size), np.empty(E * size, dtype=np.bool_)
     # one more row, kept 0: the slot tables' padding reads it
-    c2v_buf = np.zeros((E + 1) * B)
-    neg_buf = np.empty(E * B, dtype=np.bool_)
+    c2v_buf = np.zeros((E + 1) * size)
     # only a check of degree 1 or 2 can send a message past the clamp
     clamp_c2v = e.full_slots < 3
-    active = np.arange(B)
-    _gather(prior, e.edge_var, v2c_buf.reshape(E, B))
 
-    for it in range(max_iterations + 1):
-        n = active.size
-        if n == 0:  # every frame converged, or the batch is empty
-            break
-        v2c, neg = v2c_buf[: E * n].reshape(E, n), neg_buf[: E * n].reshape(E, n)
-        c2v_pad = c2v_buf[: (E + 1) * n].reshape(E + 1, n)
-        c2v_pad[E] = 0.0
-        c2v = c2v_pad[:E]
-        if it:
+    for s in range(0, left.size, _FRAME_BLOCK):
+        rows = left[s : s + _FRAME_BLOCK]
+        # every per-frame array below is (variables or checks, frames)
+        prior = half_prior * (1.0 - 2.0 * hard[rows].T.astype(np.float64, order="C"))
+        block_present = np.ascontiguousarray(present[rows].T)
+        sgn_syn = 1.0 - 2.0 * block_present.astype(np.float64)
+        block_absent = absent_miss[rows]
+        # at iteration 0 c2v is 0, so v2c is the prior
+        _gather(prior, e.edge_var, v2c_buf[: E * rows.size].reshape(E, rows.size))
+
+        for it in range(1, max_iterations + 1):
+            n = rows.size
+            v2c, neg = v2c_buf[: E * n].reshape(E, n), neg_buf[: E * n].reshape(E, n)
+            c2v_pad = c2v_buf[: (E + 1) * n].reshape(E + 1, n)
+            c2v_pad[E] = 0.0
+            c2v = c2v_pad[:E]
             # check update: extrinsic tanh product, syndrome sign folded in;
             # tanh(v2c) of a half-LLR message is tanh(LLR / 2), taken in
             # place, since v2c is rebuilt from the posterior below
@@ -422,33 +427,29 @@ def _decode_block(e, noisy, target, half_prior: float, max_iterations: int):
             post = prior.copy()
             for cols, slots in e.var_slots:
                 post[cols] += _slot_sum(c2v_pad, slots)
+            # v2c holds the posterior per edge until c2v is subtracted
             _gather(post, e.edge_var, v2c)
+            miss = _syndrome_mismatch(e, v2c, neg, block_present, block_absent)
 
-        # v2c holds the posterior per edge until c2v is subtracted; that is
-        # an identity at iteration 0, and dead after the last one
-        miss = _syndrome_mismatch(e, v2c, neg, present, absent_miss)
-        if 0 < it < max_iterations:
+            # a converged frame leaves at once, and at the last iteration
+            # every frame leaves before the subtraction, whose v2c would
+            # never be read
+            done = (miss == 0) | (it == max_iterations)
+            if np.any(done):
+                gone = rows[done]
+                hard[gone] = (post[:, done] < 0).T
+                iters[gone], unsat[gone] = it, miss[done]
+                if np.all(done):
+                    break
             np.subtract(v2c, c2v, out=v2c)
             np.clip(v2c, -0.5 * _LLR_CLAMP, 0.5 * _LLR_CLAMP, out=v2c)
-
-        done = miss == 0
-        if np.any(done):
-            rows = active[done]
-            hard[rows] = (post[:, done] < 0).T
-            iters[rows] = it
-            keep = np.flatnonzero(~done)
-            active = active[keep]
-            prior, sgn_syn = _frames(prior, keep), _frames(sgn_syn, keep)
-            present, absent_miss = _frames(present, keep), absent_miss[keep]
-            kept = _frames(v2c, keep)
-            v2c_buf[: kept.size] = kept.ravel()
-            post, miss = _frames(post, keep), miss[keep]
-
-    if active.size:
-        # non-converged frames keep their last hard decision
-        hard[active] = (post < 0).T
-        iters[active] = max_iterations
-        unsat[active] = miss
+            if np.any(done):
+                keep = np.flatnonzero(~done)
+                v2c_buf[: E * keep.size] = _frames(v2c, keep).ravel()
+                rows, block_absent = rows[keep], block_absent[keep]
+                prior, sgn_syn, block_present = (
+                    _frames(x, keep) for x in (prior, sgn_syn, block_present)
+                )
     return hard, unsat == 0, iters, unsat
 
 

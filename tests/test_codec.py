@@ -91,7 +91,8 @@ class TestEncode:
 
     @pytest.mark.parametrize(
         "value",
-        [np.uint8(2), 2, -1, 256, 1.5],  # 2s encode as 0s; 256 is 0 as uint8
+        # 2s encode as 0s; 256, 0.5 and NaN are 0 as uint8
+        [np.uint8(2), 2, -1, 256, 1.5, 0.5, np.nan],
     )
     def test_non_bit_values_rejected(self, small_prefix, value):
         key = np.zeros(12, dtype=np.asarray(value).dtype)
@@ -202,10 +203,12 @@ class TestDecode:
         with pytest.raises(ValueError):
             rl.decode(small_prefix, np.zeros(12, np.uint8), np.zeros(7, np.uint8), CFG)
 
-    @pytest.mark.parametrize("value", [256, 257, -1])  # 256 and 257 are 0 and 1 as uint8
+    # as uint8, 256, 0.5 and NaN are 0 and 257 is 1
+    @pytest.mark.parametrize("value", [256, 257, -1, 0.5, np.nan])
     @pytest.mark.parametrize("what", ["noisy_key", "target_syndrome"])
     def test_non_bit_values_rejected(self, small_prefix, what, value):
-        key, syn = np.zeros(12, dtype=np.int64), np.zeros(8, dtype=np.int64)
+        dtype = np.asarray(value).dtype
+        key, syn = np.zeros(12, dtype=dtype), np.zeros(8, dtype=dtype)
         (key if what == "noisy_key" else syn)[3] = value
         with pytest.raises(ValueError, match=f"{what} must contain only 0/1 values"):
             rl.decode(small_prefix, key, syn, CFG)
