@@ -29,30 +29,41 @@ def small_alist(tmp_path_factory):
     return path
 
 
-def test_import_loads_only_what_every_command_needs():
-    # every command pays for what ``import raldpc.cli`` loads, and setup_s
-    # times a fresh one: no module of the process pool's packages may load
-    # with it, nor decimal (spec parsing) or numpy.random (characterization),
-    # which load on use.  The pool and numpy.ma stay out of a table build
-    # too: np.unique, which would pull in numpy.ma, is not in the decoder's
-    # edge layout.
+def test_import_loads_no_pool_or_masked_arrays():
+    # every command pays for what ``import raldpc.cli`` loads: the process
+    # pool, decimal (spec parsing) and numpy.random (characterization) are
+    # imported on use, and np.unique, which would pull in numpy.ma, stays out
+    # of the decoder's edge layout too (built with the table)
     src = pathlib.Path(rl.__file__).parent.parent
     code = (
         f"import sys; sys.path.insert(0, {str(src)!r}); import raldpc.cli; "
-        "print(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'concurrent'))); "
-        "lazy = ('decimal', 'numpy.random', 'numpy.ma'); "
+        "mods = ('concurrent.futures', 'multiprocessing', 'numpy.ma'); "
+        "lazy = mods + ('decimal', 'numpy.random'); "
         "print([m for m in lazy if m in sys.modules]); "
         "import raldpc as rl; "
         "m = rl.peg_construct(16, 40, rl.DegreeProfile.interleaved_4_5(40), 1); "
         "rl.build_table(m, (40, 30), (0.01, 0.05), 20, 1, 5); "
-        "mods = ('concurrent.futures', 'multiprocessing', 'numpy.ma'); "
         "print([m for m in mods if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert out.stdout == "[]\n[]\n[]\n"
+    assert out.stdout == "[]\n[]\n"
+
+
+def test_import_loads_no_process_modules():
+    # setup_s times a fresh ``import raldpc.cli``: no module of the process
+    # pool's packages may load with it
+    src = pathlib.Path(rl.__file__).parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import raldpc.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"
 
 
 class TestGenMatrix:
