@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapt import DistillationTable, distillation_efficiency, effective_rate
-from .codec import _LLR_CLAMP, DecoderConfig, _decode_batch, encode_syndrome_batch
+from .codec import DecoderConfig, _decode_batch, encode_syndrome_batch
 from .tanner import MatrixPrefix, ParityMatrix
 
 _Z95 = 1.959963984540054
@@ -29,15 +29,15 @@ _Z95 = 1.959963984540054
 _CHUNK = 128
 
 
-def wilson_interval(failures: int, frames: int, z: float = _Z95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(failures: int, frames: int):
+    """95% Wilson score interval for a binomial proportion."""
     if frames <= 0:
         raise ValueError("frames must be positive")
     phat = failures / frames
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / frames
     center = (phat + z2 / (2 * frames)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / frames + z2 / (4 * frames * frames)) / denom
+    half = _Z95 * np.sqrt(phat * (1 - phat) / frames + z2 / (4 * frames * frames)) / denom
     lo = max(0.0, center - half)
     hi = min(1.0, center + half)
     # guarantee the interval brackets the point estimate despite rounding
@@ -105,7 +105,7 @@ _ABORT_CI_LOW = 0.95
 _ABSENT_FER = 0.99
 
 
-def _cell(prefixes: dict, matrix: ParityMatrix, task):
+def _cell(prefixes: dict, matrix: ParityMatrix, task) -> FerEstimate:
     """One cell of ``build_table``, on the width's prefix in ``prefixes``.
 
     The prefix, and with it the decoder's edge layout, is built on the
@@ -114,10 +114,9 @@ def _cell(prefixes: dict, matrix: ParityMatrix, task):
     width, rate_idx, p, frames, seed, max_iterations = task
     if width not in prefixes:
         prefixes[width] = MatrixPrefix(matrix, width)
-    est = _run_cell(
+    return _run_cell(
         prefixes[width], p, frames, (seed, width, rate_idx), max_iterations, _ABORT_CI_LOW
     )
-    return width, rate_idx, est
 
 
 # a --threads worker process's matrix and prefixes, set once per process
@@ -189,9 +188,9 @@ def build_table(
     lo = np.full(shape, np.nan)
     hi = np.full(shape, np.nan)
     undetected = np.zeros(shape, dtype=np.int64)
-    widx = {w: j for j, w in enumerate(widths)}
-    for width, i, est in results:
-        j = widx[width]
+    # both maps return the results in task order
+    for (width, i, *_), est in zip(tasks, results):
+        j = widths.index(width)
         fer[i, j] = est.point_estimate
         lo[i, j] = est.ci_low
         hi[i, j] = est.ci_high
@@ -219,26 +218,3 @@ def matrix_digest(matrix: ParityMatrix) -> str:
     h.update(matrix.col_indptr.tobytes())
     h.update(matrix.col_indices.astype(np.int64).tobytes())
     return h.hexdigest()
-
-
-def run_manifest(
-    matrix: ParityMatrix,
-    widths,
-    error_grid,
-    frames_per_point: int,
-    seed: int,
-    max_iterations: int,
-) -> dict:
-    """The characterize manifest's fields that reproduce a table byte for byte."""
-    return {
-        "matrix_sha256": matrix_digest(matrix),
-        "matrix_shape": [matrix.num_checks, matrix.num_vars],
-        "widths": [int(w) for w in widths],
-        "error_grid": [float(e) for e in error_grid],
-        "frames_per_point": int(frames_per_point),
-        "seed": int(seed),
-        "decoder": {
-            "max_iterations": int(max_iterations),
-            "llr_clamp": _LLR_CLAMP,
-        },
-    }

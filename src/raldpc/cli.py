@@ -28,8 +28,9 @@ from .adapt import (
     reconciliation_efficiency,
     save_table_csv,
 )
-from .charact import build_table, matrix_digest, run_manifest
+from .charact import build_table, matrix_digest
 from .codec import (
+    _LLR_CLAMP,
     DecoderConfig,
     _decode_batch,
     encode_syndrome_batch,
@@ -38,7 +39,6 @@ from .codec import (
 )
 from .qkdsim import LinkParams, save_report_csv, simulate_link
 from .tanner import (
-    AlistParseError,
     DegreeProfile,
     MatrixPrefix,
     girth_profile,
@@ -159,8 +159,13 @@ def _cmd_characterize(args) -> int:
     )
     save_table_csv(table, args.out)
     _write_manifest("characterize", args.out, {
-        **run_manifest(matrix, widths, grid, args.frames, args.seed,
-                       args.max_iterations),
+        "matrix_sha256": matrix_digest(matrix),
+        "matrix_shape": [matrix.num_checks, matrix.num_vars],
+        "widths": widths,
+        "error_grid": grid,
+        "frames_per_point": args.frames,
+        "seed": args.seed,
+        "decoder": {"max_iterations": args.max_iterations, "llr_clamp": _LLR_CLAMP},
         "matrix_file": args.matrix,
         "matrix_file_sha256": _file_sha256(args.matrix),
         "undetected_total": int(table.undetected.sum()),
@@ -304,7 +309,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, AlistParseError, _ParseFailure, json.JSONDecodeError) as exc:
+    except (OSError, _ParseFailure) as exc:
         print(f"raldpc: {exc}", file=sys.stderr)
         return IO_ERROR
     except (ValueError, KeyError) as exc:

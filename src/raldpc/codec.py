@@ -153,8 +153,10 @@ class DecoderConfig:
     def __post_init__(self):
         if not (0.0 < self.crossover_prior < 0.5):
             raise ValueError("crossover_prior must be in (0, 0.5)")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        n = self.max_iterations
+        if not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("max_iterations must be an integer >= 1")
+        object.__setattr__(self, "max_iterations", int(n))  # a numpy integer as int
 
 
 @dataclass
@@ -188,9 +190,7 @@ def _as_bits(x, length: int, what: str) -> np.ndarray:
 
 def encode_syndrome(prefix: MatrixPrefix, key) -> np.ndarray:
     """Syndrome bit i = mod-2 sum of key bits adjacent to check i."""
-    key = np.asarray(key)
-    if key.ndim != 1 or key.size != prefix.width:
-        raise ValueError(f"key must be a 1-D bit array of length {prefix.width}")
+    key = _as_bits(key, prefix.width, "key")
     return encode_syndrome_batch(prefix, key[None, :])[0]
 
 
@@ -388,7 +388,6 @@ def _decode_batch(
         prior = half_prior * (1.0 - 2.0 * hard[rows].T.astype(np.float64, order="C"))
         block_present = np.ascontiguousarray(present[rows].T)
         sgn_syn = 1.0 - 2.0 * block_present.astype(np.float64)
-        block_absent = absent_miss[rows]
         # at iteration 0 c2v is 0, so v2c is the prior
         _gather(prior, e.edge_var, v2c_buf[: E * rows.size].reshape(E, rows.size))
 
@@ -429,7 +428,7 @@ def _decode_batch(
                 post[cols] += _slot_sum(c2v_pad, slots)
             # v2c holds the posterior per edge until c2v is subtracted
             _gather(post, e.edge_var, v2c)
-            miss = _syndrome_mismatch(e, v2c, neg, block_present, block_absent)
+            miss = _syndrome_mismatch(e, v2c, neg, block_present, absent_miss[rows])
 
             # a converged frame leaves at once, and at the last iteration
             # every frame leaves before the subtraction, whose v2c would
@@ -446,7 +445,7 @@ def _decode_batch(
             if np.any(done):
                 keep = np.flatnonzero(~done)
                 v2c_buf[: E * keep.size] = _frames(v2c, keep).ravel()
-                rows, block_absent = rows[keep], block_absent[keep]
+                rows = rows[keep]
                 prior, sgn_syn, block_present = (
                     _frames(x, keep) for x in (prior, sgn_syn, block_present)
                 )

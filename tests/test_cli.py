@@ -401,9 +401,10 @@ class TestReconcileBatch:
 
 
 class TestSimulateLink:
-    @pytest.fixture()
-    def table_csv(self, small_alist, tmp_path):
-        out = tmp_path / "table.csv"
+    # one table for the class: every test only reads it
+    @pytest.fixture(scope="class")
+    def table_csv(self, small_alist, tmp_path_factory):
+        out = tmp_path_factory.mktemp("simulate") / "table.csv"
         assert main(
             ["characterize", "--matrix", str(small_alist), "--widths", "320,192,128",
              "--errors", "0.010:0.030:0.005", "--frames", "50", "--seed", "4",
@@ -619,6 +620,10 @@ class TestManifests:
         assert man["matrix_file_sha256"] == sha(small_alist)
         assert man["frames_per_point"] == 8 and man["seed"] == 9
         assert man["decoder"] == {"llr_clamp": 25.0, "max_iterations": 60}
+        assert man["matrix_shape"] == [64, 320] and man["widths"] == [320]
+        assert man["error_grid"] == [0.01, 0.02]
+        table = rl.build_table(rl.load_alist(small_alist), [320], [0.01, 0.02], 8, 9)
+        assert man["undetected_total"] == int(table.undetected.sum())
 
     def test_girth_profile_to_stdout_writes_none(
         self, small_alist, tmp_path, monkeypatch

@@ -768,6 +768,16 @@ class TestDecoderConfig:
             DecoderConfig(crossover_prior=0.5)
         with pytest.raises(ValueError):
             DecoderConfig(crossover_prior=0.1, max_iterations=0)
+        # a float budget, whole or not, would fail later in range()
+        with pytest.raises(ValueError):
+            DecoderConfig(0.05, 10.0)
+        with pytest.raises(ValueError):
+            DecoderConfig(0.05, 2.5)
+
+    def test_integer_iterations_are_stored_as_int(self):
+        for n in (10, np.int64(10), np.uint8(10)):
+            cfg = DecoderConfig(0.05, n)
+            assert type(cfg.max_iterations) is int and cfg.max_iterations == 10
 
 
 class TestHighNoiseFullWidth:
