@@ -146,7 +146,8 @@ def build_table(
     whose FER point estimate reaches ``0.99`` are marked absent.  A cell
     stops early once its FER is decisively too high to ever win the per-row
     argmax, which saves most of the time spent beyond each width's
-    error-correction capability.
+    error-correction capability.  ``threads`` is the number of worker
+    processes; 1 computes every cell in this process.
     """
     widths = sorted({int(w) for w in widths}, reverse=True)
     grid = [float(e) for e in error_grid]
@@ -158,6 +159,8 @@ def build_table(
         raise ValueError("error grid must be strictly increasing")
     if any(not 0.0 < e < 0.5 for e in grid):
         raise ValueError("error rates must lie in (0, 0.5)")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
 
     tasks = [
         (w, i, p, frames_per_point, seed, max_iterations)

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -78,6 +79,30 @@ def _write_manifest(command: str, out: str, fields: dict) -> None:
     with open(out + ".manifest.json", "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _check_table_manifest(table: str) -> bool:
+    """Refuse ``table`` unless its SHA-256 is the ``out_sha256`` of
+    ``<table>.manifest.json``; returns False, checking nothing, when there is
+    no such manifest.
+
+    The CSV does not carry its grid, so a file cut after a whole grid of
+    cells, or with an edited alpha, still loads as a table: only its
+    manifest tells.
+    """
+    path = table + ".manifest.json"
+    if not os.path.exists(path):
+        return False
+    with open(path, "rb") as fh:
+        try:
+            want = json.load(fh).get("out_sha256")
+        except (ValueError, RecursionError, AttributeError):  # not a JSON object
+            want = None
+    if not isinstance(want, str):
+        raise _ParseFailure(f"{path}: no out_sha256 to check the table against")
+    if want != _file_sha256(table):
+        raise _ParseFailure(f"{table}: SHA-256 differs from out_sha256 in {path}")
+    return True
 
 
 def _parse_range(spec: str, name: str) -> list[float]:
@@ -187,9 +212,16 @@ def _cmd_reconcile(args) -> int:
         crossover_prior=args.p, max_iterations=args.max_iterations
     )
     # the file's blocks are one batch: frames are independent, so each
-    # block's result is that of a single-block decode
+    # block's result is that of a single-block decode, on one thread per
+    # CPU this process may run on (``taskset`` limits them)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
     syndromes = encode_syndrome_batch(prefix, alice)
-    corrected, ok, iters, unsat = _decode_batch(prefix, bob, syndromes, config)
+    corrected, ok, iters, unsat = _decode_batch(
+        prefix, bob, syndromes, config, threads=cpus
+    )
     flips = np.count_nonzero(corrected != bob, axis=1)
     sys.stdout.write("".join(
         f"block {k}: OK ({nf} flips, {it} iterations)\n" if good
@@ -224,6 +256,7 @@ def _cmd_reconcile(args) -> int:
 
 
 def _cmd_simulate_link(args) -> int:
+    manifest_checked = _check_table_manifest(args.table)
     table = _parsing(load_table_csv, args.table)
     if args.params:
         with open(args.params, "r", encoding="ascii") as fh:
@@ -243,6 +276,7 @@ def _cmd_simulate_link(args) -> int:
     _write_manifest("simulate-link", args.out, {
         "table_file": args.table,
         "table_sha256": _file_sha256(args.table),
+        "table_manifest_checked": manifest_checked,
         "params": dataclasses.asdict(params),
         "distances": args.distances,
     })
@@ -279,7 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--frames", type=int, default=1000)
     g.add_argument("--seed", type=int, default=1)
     g.add_argument("--max-iterations", type=int, default=60)
-    g.add_argument("--threads", type=int, default=1)
+    g.add_argument("--threads", type=int, default=1,
+                   help="worker processes, one cell at a time each")
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_characterize)
 

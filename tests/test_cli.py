@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import raldpc as rl
 from raldpc import cli
 from raldpc.cli import main
-from raldpc.codec import _FRAME_BLOCK
+from raldpc.codec import _FRAME_BLOCK, _decode_batch
 
 from _strategies import byte_edits
 
@@ -191,6 +191,16 @@ class TestCharacterize:
         rows = out.read_text().splitlines()[1:]
         assert man["error_grid"] == [float(r.split(",")[0]) for r in rows]
 
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_rejected(self, small_alist, tmp_path, threads):
+        out = tmp_path / "x.csv"
+        assert main(
+            ["characterize", "--matrix", str(small_alist), "--widths", "320",
+             "--errors", "0.010:0.020:0.010", "--frames", "8",
+             "--threads", threads, "--out", str(out)]
+        ) == 2
+        assert not out.exists()
+
     def test_infinite_range_rejected(self, small_alist, tmp_path):
         assert main(
             ["characterize", "--matrix", str(small_alist), "--widths", "320",
@@ -363,6 +373,30 @@ class TestReconcileBatch:
             for r, a in zip(results, alice)
         )
 
+    def test_same_outputs_on_any_cpu_count(self, small_alist, tmp_path, capsys,
+                                           monkeypatch):
+        # the decode is shared over the CPUs the process may use
+        rng = np.random.default_rng(14)
+        alice = rng.integers(0, 2, (6 * _FRAME_BLOCK + 1, 320), dtype=np.uint8)
+        bob = alice ^ (rng.random(alice.shape) < 0.015).astype(np.uint8)
+        threads = []
+
+        def decode_batch(*args, **kwargs):
+            threads.append(kwargs["threads"])
+            return _decode_batch(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "_decode_batch", decode_batch)
+        runs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            out = tmp_path / f"{cpus}" / "c.txt"
+            out.parent.mkdir()
+            code, stdout, manifest = self.run(small_alist, 320, alice, bob, 0.015, 20,
+                                              out, capsys)
+            runs.append((code, stdout, out.read_bytes(), manifest))
+        assert threads == [1, 3]
+        assert runs[0] == runs[1]
+
     def test_manifest_telemetry(self, tmp_path, capsys):
         # a 3x5 code whose last column no check touches: flipping that bit
         # keeps the syndrome, so the block converges to Bob's key at
@@ -455,6 +489,49 @@ class TestSimulateLink:
              "--distances", "10:5:1", "--out", str(tmp_path / "r.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "edit",
+        ["cut-after-grid", "alpha", "manifest-not-json", "manifest-too-deep",
+         "manifest-no-sha"],
+    )
+    def test_table_its_manifest_does_not_cite_is_refused(self, table_csv, tmp_path, edit):
+        lines = table_csv.read_text().splitlines(keepends=True)
+        manifest = (table_csv.parent / "table.csv.manifest.json").read_text()
+        if edit == "cut-after-grid":
+            lines = lines[: 1 + 2 * 3]  # two whole rates of the three widths
+        elif edit == "alpha":
+            assert lines[2].startswith("0.010,192,0.6667,") and lines[2].endswith(",0\n")
+            lines[2] = lines[2].replace(",0.6667,", ",0.6666,")
+        elif edit == "manifest-not-json":
+            manifest = manifest[:-3]
+        elif edit == "manifest-too-deep":
+            manifest = "[" * 100_000
+        else:
+            manifest = manifest.replace('"out_sha256"', '"sha256"')
+        table = tmp_path / "table.csv"
+        table.write_text("".join(lines))
+        (tmp_path / "table.csv.manifest.json").write_text(manifest)
+        rl.load_table_csv(table)  # the CSV alone loads as a table
+        out = tmp_path / "r.csv"
+        code = main(
+            ["simulate-link", "--table", str(table),
+             "--distances", "0:10:5", "--out", str(out)]
+        )
+        assert code == 3
+        assert not out.exists()
+
+    def test_manifest_checked_is_recorded(self, table_csv, tmp_path):
+        bare = tmp_path / "bare.csv"
+        bare.write_bytes(table_csv.read_bytes())
+        for table, checked in ((table_csv, True), (bare, False)):
+            out = tmp_path / "r.csv"
+            assert main(
+                ["simulate-link", "--table", str(table),
+                 "--distances", "0:10:5", "--out", str(out)]
+            ) == 0
+            man = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+            assert man["table_manifest_checked"] is checked
 
     def test_two_working_flags_is_parse_error(self, tmp_path):
         table = tmp_path / "table.csv"

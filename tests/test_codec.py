@@ -1,4 +1,5 @@
 import hashlib
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import raldpc as rl
+from raldpc import codec
 from raldpc.charact import _run_cell
 from raldpc.codec import (
     _ENCODE_CHUNK,
@@ -317,6 +319,74 @@ class TestBatchSplit:
             part = _decode_batch(prefix, noisy[idx], syn[idx], cfg)
             for got, want in zip(part, whole):
                 assert np.array_equal(got, want[idx])
+
+
+class TestThreadedDecode:
+    """The frame blocks left after iteration 0 decode alike on any number of
+    shares, each share on its own thread but the caller's."""
+
+    FRAMES = 40
+    MAX_ITERATIONS = 12
+
+    @pytest.fixture(scope="class")
+    def batch(self):
+        m = rl.peg_construct(64, 256, rl.DegreeProfile.interleaved_4_5(256), seed=3)
+        prefix = rl.MatrixPrefix(m, 256)
+        rng = np.random.default_rng(21)
+        keys = rng.integers(0, 2, (self.FRAMES, 256), dtype=np.uint8)
+        p = np.resize([0.0, 0.01, 0.02, 0.03, 0.08], self.FRAMES)[:, None]
+        noisy = keys ^ (rng.random(keys.shape) < p).astype(np.uint8)
+        syn = rl.encode_syndrome_batch(prefix, keys)
+        cfg = DecoderConfig(crossover_prior=0.03, max_iterations=self.MAX_ITERATIONS)
+        whole = _decode_batch(prefix, noisy, syn, cfg)
+        iters = whole[2].tolist()
+        # frames leave at iteration 0, at many later iterations and at the cap
+        assert 0 in iters and self.MAX_ITERATIONS in iters
+        assert len(set(iters)) >= 6
+        return prefix, noisy, syn, cfg, whole
+
+    @pytest.mark.parametrize(
+        "frames, threads, started",
+        [
+            (FRAMES, 2, 1),
+            (FRAMES, 3, 2),
+            (2 * _FRAME_BLOCK + 1, 8, 2),  # three blocks, fewer than threads
+            (_FRAME_BLOCK, 3, 0),  # one block starts no thread
+            (0, 3, 0),
+        ],
+    )
+    def test_equals_one_thread(self, batch, monkeypatch, frames, threads, started):
+        prefix, noisy, syn, cfg, whole = batch
+        take = np.arange(self.FRAMES)
+        if frames < self.FRAMES:
+            # frames that iteration 0 leaves, so that the block count is exact
+            take = np.flatnonzero(whole[2] > 0)[:frames]
+        starts = []
+        real_start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start", lambda t: (starts.append(t), real_start(t))[1]
+        )
+        got = _decode_batch(prefix, noisy[take], syn[take], cfg, threads=threads)
+        assert len(starts) == started
+        for g, w in zip(got, whole):
+            assert g.dtype == w.dtype and np.array_equal(g, w[take])
+
+    def test_share_that_raises_stops_every_share(self, batch, monkeypatch):
+        prefix, noisy, syn, cfg, _ = batch
+        calls = []
+
+        def fail_on_third(x, keep):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("share failed")
+            return real(x, keep)
+
+        real = codec._frames
+        monkeypatch.setattr(codec, "_frames", fail_on_third)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="share failed"):
+            _decode_batch(prefix, noisy, syn, cfg, threads=3)
+        assert threading.active_count() == before
 
 
 @st.composite
