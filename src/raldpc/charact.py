@@ -105,30 +105,24 @@ _ABORT_CI_LOW = 0.95
 _ABSENT_FER = 0.99
 
 
-def _cell(prefixes: dict, matrix: ParityMatrix, task) -> FerEstimate:
-    """One cell of ``build_table``, on the width's prefix in ``prefixes``.
-
-    The prefix, and with it the decoder's edge layout, is built on the
-    width's first cell and reused by its other cells.
-    """
+def _cell(prefixes: dict, task) -> FerEstimate:
+    """One cell of ``build_table``, on the width's prefix in ``prefixes``."""
     width, rate_idx, p, frames, seed, max_iterations = task
-    if width not in prefixes:
-        prefixes[width] = MatrixPrefix(matrix, width)
     return _run_cell(
         prefixes[width], p, frames, (seed, width, rate_idx), max_iterations, _ABORT_CI_LOW
     )
 
 
-# a --threads worker process's matrix and prefixes, set once per process
-_worker: dict = {}
+# a --threads worker process's prefixes, set once per process
+_prefixes: dict = {}
 
 
-def _start_worker(matrix: ParityMatrix) -> None:
-    _worker.update(matrix=matrix, prefixes={})
+def _start_worker(prefixes: dict) -> None:
+    _prefixes.update(prefixes)
 
 
 def _worker_cell(task):
-    return _cell(_worker["prefixes"], _worker["matrix"], task)
+    return _cell(_prefixes, task)
 
 
 def build_table(
@@ -153,8 +147,8 @@ def build_table(
     grid = [float(e) for e in error_grid]
     if not widths or not grid:
         raise ValueError("widths and error grid must be nonempty")
-    if any(not matrix.num_checks < w <= matrix.num_vars for w in widths):
-        raise ValueError("widths must lie in (num_checks, num_vars]")
+    # pickled to the --threads workers before any edge layout is built
+    prefixes = {w: MatrixPrefix(matrix, w) for w in widths}
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("error grid must be strictly increasing")
     if any(not 0.0 < e < 0.5 for e in grid):
@@ -178,12 +172,11 @@ def build_table(
             max_workers=threads,
             mp_context=multiprocessing.get_context("spawn"),
             initializer=_start_worker,
-            initargs=(matrix,),
+            initargs=(prefixes,),
         ) as ex:
             results = list(ex.map(_worker_cell, tasks))
     else:
-        prefixes = {}
-        results = [_cell(prefixes, matrix, t) for t in tasks]
+        results = [_cell(prefixes, t) for t in tasks]
 
     shape = (len(grid), len(widths))
     alpha = np.full(shape, np.nan)

@@ -59,7 +59,7 @@ class _ParseFailure(Exception):
 def _parsing(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, RecursionError) as exc:  # nested too deep for json
         raise _ParseFailure(str(exc)) from None
 
 
@@ -94,10 +94,8 @@ def _check_table_manifest(table: str) -> bool:
     if not os.path.exists(path):
         return False
     with open(path, "rb") as fh:
-        try:
-            want = json.load(fh).get("out_sha256")
-        except (ValueError, RecursionError, AttributeError):  # not a JSON object
-            want = None
+        doc = _parsing(json.load, fh)
+    want = doc.get("out_sha256") if isinstance(doc, dict) else None
     if not isinstance(want, str):
         raise _ParseFailure(f"{path}: no out_sha256 to check the table against")
     if want != _file_sha256(table):

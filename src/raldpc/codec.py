@@ -509,8 +509,7 @@ def _decode_batch(
 
 
 # the bytes ``str.strip()`` removes from an ASCII line
-_KEY_SPACE = np.zeros(256, dtype=np.bool_)
-_KEY_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_KEY_SPACE = bytes([9, 10, 11, 12, 13, 28, 29, 30, 31, 32])
 
 
 def read_key_blocks(path, width: int | None = None) -> np.ndarray:
@@ -522,44 +521,25 @@ def read_key_blocks(path, width: int | None = None) -> np.ndarray:
     line must be all 0/1, or the error names its line number.  When
     ``width`` is given every block is validated against it.
 
-    The file is parsed as one byte array: a block is a run of non-space
-    bytes, so a line holds at most one run, and in a valid file the digits,
-    in file order, are the blocks one after another.
+    The stripped lines are joined, and every digit of the file is checked
+    in one pass over the joined bytes; only a refused file is searched
+    line by line for its first bad line.
     """
     with open(path, "rb") as fh:
-        raw = np.frombuffer(fh.read(), dtype=np.uint8)
-    bits = raw - np.uint8(ord("0"))
-    digit = bits <= 1
-    pos = np.flatnonzero(~digit)
-    byte = raw[pos]
-    is_space = _KEY_SPACE[byte]
-    # a line ends at every \n and at every \r not followed by \n
-    after = raw[np.minimum(pos + 1, raw.size - 1)]
-    ends = pos[(byte == 10) | ((byte == 13) & (after != 10))]
-    space = pos[is_space]
-    starts = np.concatenate(([0], space + 1))
-    stops = np.concatenate((space, [raw.size]))
-    run = stops > starts
-    starts, stops = starts[run], stops[run]
-    line = np.searchsorted(ends, starts)  # 0-based line of each run
-    bad = np.concatenate((
-        line[1:][line[1:] == line[:-1]],  # a second run: whitespace inside
-        np.searchsorted(ends, pos[~is_space]),  # neither 0/1 nor space
-    ))
-    if bad.size:
-        raise ValueError(f"{path}:{int(bad.min()) + 1}: key lines must be 0/1 strings")
-    if not starts.size:
+        # bytes.splitlines ends a line at \n, \r\n and a lone \r only
+        lines = [ln.strip(_KEY_SPACE) for ln in fh.read().splitlines()]
+    bits = np.frombuffer(b"".join(lines), dtype=np.uint8) - np.uint8(ord("0"))
+    if bits.max(initial=0) > 1:  # any other byte; those below '0' wrap past 1
+        k = next(k for k, ln in enumerate(lines) if ln.translate(None, b"01"))
+        raise ValueError(f"{path}:{k + 1}: key lines must be 0/1 strings")
+    lengths = sorted({len(ln) for ln in lines} - {0})  # blank lines are skipped
+    if not lengths:
         raise ValueError(f"{path}: no key blocks found")
-    lengths = stops - starts
-    if np.any(lengths != lengths[0]):
-        raise ValueError(
-            f"{path}: blocks have inconsistent lengths {sorted(set(lengths.tolist()))}"
-        )
+    if len(lengths) > 1:
+        raise ValueError(f"{path}: blocks have inconsistent lengths {lengths}")
     if width is not None and lengths[0] != width:
-        raise ValueError(
-            f"{path}: block length {int(lengths[0])} does not match width {width}"
-        )
-    return bits[digit].reshape(starts.size, -1)
+        raise ValueError(f"{path}: block length {lengths[0]} does not match width {width}")
+    return bits.reshape(-1, lengths[0])
 
 
 def write_key_blocks(path, blocks: np.ndarray) -> None:

@@ -476,12 +476,14 @@ class TestSimulateLink:
 
     def test_bad_params_file(self, table_csv, tmp_path):
         pfile = tmp_path / "params.json"
-        pfile.write_text(json.dumps({"no_such_field": 1}))
-        code = main(
-            ["simulate-link", "--table", str(table_csv), "--params", str(pfile),
-             "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
-        )
-        assert code == 3
+        # an unknown field, and nesting past the JSON decoder's recursion limit
+        for text in (json.dumps({"no_such_field": 1}), "[" * 100_000):
+            pfile.write_text(text)
+            code = main(
+                ["simulate-link", "--table", str(table_csv), "--params", str(pfile),
+                 "--distances", "0:10:5", "--out", str(tmp_path / "r.csv")]
+            )
+            assert code == 3
 
     def test_empty_sweep_rejected(self, table_csv, tmp_path):
         code = main(

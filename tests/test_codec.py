@@ -939,6 +939,9 @@ class TestKeyBlockFiles:
         b"01\r\r\n10\r", b"\x1f01 \r\n\n\t10\x0c",  # line ends, strip
         b"01\n1 0\n", b"01\n1\x1c0\n", b"01\n\n10\r2\n",  # bad line 2 / 4
         b"01\n010\n1\n", b"0110",  # ragged, width mismatch
+        b"01\n1a", b"01\r1 0", b"01\n10\n\x00",  # bad line 2 / 2 / 3
+        # the search for the first bad line walks every line
+        pytest.param(b"01\n" * 4999 + b"1/\n", id="bad-line-5000"),
     ])
     def test_matches_reference_on_edges(self, tmp_path, data):
         path = tmp_path / "keys.txt"
